@@ -6,14 +6,16 @@
  * capacity x. The kernel merges each column x >= wt with column x - wt
  * extended by the item (wt, level, iid) and writes the surviving labels,
  * A side first, to S_o, w_o, rep_o, off_o. Each extended survivor gets a
- * new witness node `top` in the arena (par, itm). Equal-vector,
- * equal-weight pairs drop the B label tentatively and are listed in
- * ties as (output slot of A, A's node, B's parent node) for the caller,
- * which applies the id-tuple rule.
+ * new witness node `top` in the arena (par, itm).
  *
- * On return out holds pos (labels written), top, the tie count, the
- * dominance comparisons made and the largest nonzero cell. Returns 0,
- * or -1 if scratch memory could not be allocated.
+ * Items must arrive in descending id order. Then iid is smaller than
+ * every id in an A witness, so when an A label and an extended B label
+ * tie in vector and weight (hence in size), B's sorted id tuple is the
+ * smaller one: B wins and A is dropped.
+ *
+ * On return out holds pos (labels written), top, the dominance
+ * comparisons made and the largest nonzero cell. Returns 0, or -1 if
+ * scratch memory could not be allocated.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -22,23 +24,18 @@
 int qknap_row_kernel(const int64_t *S, const int64_t *w, const int64_t *rep,
                      const int64_t *off, int64_t W1, int64_t k, int64_t wt,
                      int64_t level, int64_t iid, int64_t *S_o, int64_t *w_o,
-                     int64_t *rep_o, int64_t *off_o, int64_t *ties, int64_t *par,
-                     int64_t *itm, int64_t top, int64_t *out)
+                     int64_t *rep_o, int64_t *off_o, int64_t *par, int64_t *itm,
+                     int64_t top, int64_t *out)
 {
-    int64_t pos = 0, nt = 0, comparisons = 0, max_cell = 0, widest = 1;
+    int64_t pos = 0, comparisons = 0, max_cell = 0, widest = 1;
     for (int64_t x = 0; x < W1; x++)
         if (off[x + 1] - off[x] > widest)
             widest = off[x + 1] - off[x];
     char *kill_a = malloc(widest);
     char *kill_b = malloc(widest);
-    int64_t *slot_of = malloc(widest * sizeof(int64_t));
-    /* a tie pairs one A with one B, so a column has at most min(ma, mb) */
-    int64_t *tloc = malloc(2 * widest * sizeof(int64_t));
-    if (!kill_a || !kill_b || !slot_of || !tloc) {
+    if (!kill_a || !kill_b) {
         free(kill_a);
         free(kill_b);
-        free(slot_of);
-        free(tloc);
         return -1;
     }
     for (int64_t x = 0; x < W1; x++) {
@@ -57,7 +54,6 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const int64_t *rep,
         comparisons += ma * mb;
         memset(kill_a, 0, ma);
         memset(kill_b, 0, mb);
-        int64_t ntloc = 0;
         for (int64_t ai = 0; ai < ma; ai++) {
             const int64_t *sa = S + (a0 + ai) * k;
             for (int64_t bi = 0; bi < mb; bi++) {
@@ -78,43 +74,22 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const int64_t *rep,
                     }
                 }
                 if (ge_ba) {
-                    if (ge_ab) {
-                        int64_t wbv = w[b0 + bi] + wt;
-                        if (w[a0 + ai] < wbv) {
-                            kill_b[bi] = 1;
-                        } else if (wbv < w[a0 + ai]) {
-                            kill_a[ai] = 1;
-                        } else {
-                            tloc[2 * ntloc] = ai;
-                            tloc[2 * ntloc + 1] = bi;
-                            kill_b[bi] = 1; /* tentative; caller may flip the witness */
-                            ntloc++;
-                        }
-                    } else {
+                    /* B kills A unless they tie in vector and A is lighter */
+                    if (ge_ab && w[a0 + ai] < w[b0 + bi] + wt)
+                        kill_b[bi] = 1;
+                    else
                         kill_a[ai] = 1;
-                    }
                 } else if (ge_ab) {
                     kill_b[bi] = 1;
                 }
             }
         }
         for (int64_t ai = 0; ai < ma; ai++) {
-            slot_of[ai] = -1;
             if (!kill_a[ai]) {
-                slot_of[ai] = pos;
                 memcpy(S_o + pos * k, S + (a0 + ai) * k, k * sizeof(int64_t));
                 w_o[pos] = w[a0 + ai];
                 rep_o[pos] = rep[a0 + ai];
                 pos++;
-            }
-        }
-        for (int64_t t = 0; t < ntloc; t++) {
-            int64_t ai = tloc[2 * t];
-            if (slot_of[ai] >= 0) { /* moot once A lost to a strict dominator */
-                ties[3 * nt] = slot_of[ai];
-                ties[3 * nt + 1] = rep[a0 + ai];
-                ties[3 * nt + 2] = rep[b0 + tloc[2 * t + 1]];
-                nt++;
             }
         }
         for (int64_t bi = 0; bi < mb; bi++) {
@@ -137,12 +112,9 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const int64_t *rep,
     off_o[W1] = pos;
     free(kill_a);
     free(kill_b);
-    free(slot_of);
-    free(tloc);
     out[0] = pos;
     out[1] = top;
-    out[2] = nt;
-    out[3] = comparisons;
-    out[4] = max_cell;
+    out[2] = comparisons;
+    out[3] = max_cell;
     return 0;
 }

@@ -70,6 +70,7 @@ def _frontier_json(result) -> dict:
             "max_cell": result.stats.max_cell,
             "comparisons": result.stats.comparisons,
             "wall_time": result.stats.wall_time,
+            "backend": result.stats.backend,
         },
     }
 

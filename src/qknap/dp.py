@@ -1,31 +1,41 @@
 """Exact frontier computation by dynamic programming over label sets.
 
-The solver sweeps items in input order and, for every capacity budget
-x in 0..W, maintains the set of non-dominated rank cardinality vectors
-reachable with the items seen so far. Each vector is carried as a label
-holding its suffix-sum form, its minimal achieving weight, and a chain
-encoding one witness subset. Merging a cell with its extended
-predecessor keeps exactly the labels that survive the suffix-sum
-dominance test; equal vectors are collapsed to the lighter witness,
-then to the lexicographically smallest id tuple.
+The solver sweeps the items and, for every capacity budget x in 0..W,
+maintains the set of non-dominated rank cardinality vectors reachable
+with the items seen so far. Each vector is carried as a label holding
+its suffix-sum form, its minimal achieving weight, and a chain encoding
+one witness subset. Merging a cell with its extended predecessor keeps
+exactly the labels that survive the suffix-sum dominance test; equal
+vectors are collapsed to the lighter witness, then to the
+lexicographically smallest id tuple.
 
 Labels are stored internally as suffix-sum rows so dominance is a plain
 componentwise comparison; witness subsets are parent-pointer chains so
 extending a label is O(1). Reported cells never include the empty
 selection's all-zero label.
 
-Two drivers produce identical results: a per-cell numpy path that also
-supports keeping the whole matrix, and a row-at-a-time path for large
-problems, where labels live in one contiguous block per row and witness
-chains are indices into a parent arena. Ties that need the id-tuple
-rule are rare and resolved outside the kernel either way.
+The witness rule is global, so the final labels do not depend on the
+order in which items are swept. Equal-vector, equal-weight witnesses
+have the same size, and of two sorted id tuples of equal length the
+smaller holds the least element of their symmetric difference; adding
+one item to both leaves that element alone. ``solve`` therefore sweeps
+items in descending id order, except with ``keep_matrix``, whose cells
+are defined by input prefixes. In that order the item being added has a
+smaller id than every id of a rival witness, so every tie goes to the
+extension and is settled in O(1).
 
-The row driver's kernel is C (``_rowkernel.c``, shipped beside this
-module). The first large solve compiles it with ``$CC`` (else ``cc``)
-into ``$XDG_CACHE_HOME/qknap`` (else ``~/.cache/qknap``), under a name
-keyed by the source, the platform and the flags, and loads it through
-ctypes. Later processes load the cached file. When no compiler runs or
-the cache is not writable, every solve takes the numpy driver.
+Two drivers produce identical results: a per-cell numpy path that also
+supports keeping the whole matrix and applies the id-tuple rule in any
+item order, and a row-at-a-time path, where labels live in one
+contiguous block per row and witness chains are indices into a parent
+arena. The row driver's kernel is C (``_rowkernel.c``, shipped beside
+this module) and relies on the descending order for ties. The first
+solve of at least ``_KERNEL_MIN_CELLS`` cells compiles it with ``$CC``
+(else ``cc``) into ``$XDG_CACHE_HOME/qknap`` (else ``~/.cache/qknap``),
+under a name keyed by the source, the platform and the flags, and loads
+it through ctypes. Later processes load the cached file. When no
+compiler runs or the cache is not writable, every solve takes the numpy
+driver. ``SolveStats.backend`` names the driver that ran.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +54,13 @@ from .model import Instance, Label, canonical_key, validate_instance
 
 __all__ = ["FrontierResult", "LabelMatrix", "SolveStats", "label_bound", "solve"]
 
-# Problems with at least this many cells are worth loading the kernel.
-_KERNEL_MIN_CELLS = 20_000
+# Solves of at least this many cells (n * (W + 1)) run the C kernel. At
+# 2,000 cells the numpy driver takes 35-65 us per cell (0.07-0.13 s a
+# solve), the kernel 1-2 us, and building the kernel once, cached for later
+# processes, 0.12-0.17 s (2-vCPU VM, gcc 12): about one numpy solve of
+# that size. Smaller solves, such as a cold start on a tiny instance,
+# never start the compiler.
+_KERNEL_MIN_CELLS = 2_000
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _UNSET = object()
 _row_kernel = _UNSET
@@ -54,12 +69,18 @@ _row_kernel_reason = "not loaded yet"
 
 @dataclass
 class SolveStats:
-    """Counters from one solver run; wall_time is the only nondeterministic field."""
+    """Counters from one solver run.
+
+    ``backend`` names what ran: ``"c-kernel"`` or ``"numpy"`` for the DP
+    drivers, ``"oracle"`` for brute-force enumeration. Given the same
+    input and backend, only wall_time varies between runs.
+    """
 
     cells: int = 0
     max_cell: int = 0
     comparisons: int = 0
     wall_time: float = 0.0
+    backend: str = ""
 
 
 @dataclass(frozen=True)
@@ -115,12 +136,17 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     n, W = len(inst.items), inst.capacity
     stats = SolveStats(cells=n * (W + 1))
     kernel = None
-    if not keep_matrix and n * (W + 1) >= _KERNEL_MIN_CELLS:
-        kernel = _load_row_kernel()
+    if not keep_matrix:
+        # settles witness ties toward the extension; see the module docstring
+        inst = replace(inst, items=tuple(sorted(inst.items, key=lambda it: it.id, reverse=True)))
+        if n * (W + 1) >= _KERNEL_MIN_CELLS:
+            kernel = _load_row_kernel()
     if kernel is not None:
+        stats.backend = "c-kernel"
         labels = _solve_rows(inst, stats, kernel)
         matrix = None
     else:
+        stats.backend = "numpy"
         labels, matrix = _solve_cells_numpy(inst, stats, keep_matrix)
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
@@ -262,7 +288,7 @@ def _solve_cells_numpy(inst, stats, keep_matrix):
 
 
 # --------------------------------------------------------------------------
-# Large-problem driver: one C kernel call per row over contiguous storage.
+# Row driver: one C kernel call per row over contiguous storage.
 #
 # A row's labels live packed in (S, w, rep) blocks with off[x]:off[x+1]
 # delimiting capacity x. Witness chains are arena entries: node i has
@@ -328,26 +354,25 @@ def _build_row_kernel():
         return None, f"cannot load {lib}: {exc}"
     arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     i64 = ctypes.c_int64
-    fn.argtypes = [arr] * 4 + [i64] * 5 + [arr] * 7 + [i64, arr]
+    fn.argtypes = [arr] * 4 + [i64] * 5 + [arr] * 6 + [i64, arr]
     fn.restype = ctypes.c_int
 
-    def kernel(S, w, rep, off, wt, level, iid, S_o, w_o, rep_o, off_o, ties, par, itm, top):
-        # the C side writes unchecked: up to m kept and m extended labels, m ties, m new nodes
+    def kernel(S, w, rep, off, wt, level, iid, S_o, w_o, rep_o, off_o, par, itm, top):
+        # the C side writes unchecked: up to m kept and m extended labels, m new nodes
         m, k = S.shape
         if not (
             len(w) == len(rep) == m == off[-1]
             and S_o.shape[1] == k
             and min(len(S_o), len(w_o), len(rep_o)) >= 2 * m
             and len(off_o) == len(off)
-            and ties.shape[0] >= m and ties.shape[1] == 3
             and min(len(par), len(itm)) >= top + m
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        out = np.empty(5, np.int64)
+        out = np.empty(4, np.int64)
         if fn(S, w, rep, off, len(off) - 1, k, wt, level, iid,
-              S_o, w_o, rep_o, off_o, ties, par, itm, top, out) != 0:
+              S_o, w_o, rep_o, off_o, par, itm, top, out) != 0:
             raise MemoryError("row kernel could not allocate its scratch space")
-        return tuple(out.tolist())  # pos, top, nt, comparisons, max_cell
+        return tuple(out.tolist())  # pos, top, comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"
 
@@ -367,26 +392,6 @@ def _solve_rows(inst, stats, kernel):
     par[0] = -1
     itm[0] = 0
     top = 1
-    ids_memo: dict[int, tuple[int, ...]] = {0: ()}
-
-    def ids_of(node: int) -> tuple[int, ...]:
-        got = ids_memo.get(node)
-        if got is not None:
-            return got
-        acc = []
-        cur = node
-        while True:
-            got = ids_memo.get(cur)
-            if got is not None:
-                acc.extend(got)
-                break
-            acc.append(int(itm[cur]))
-            cur = int(par[cur])
-        out = tuple(sorted(acc))
-        ids_memo[node] = out
-        return out
-
-    ties = np.empty((m0, 3), np.int64)
     for item in inst.items:
         m = int(off[W + 1])
         need = 2 * m  # survivors of each column fit in ma + mb
@@ -394,39 +399,33 @@ def _solve_rows(inst, stats, kernel):
         w_o = np.empty(need, np.int64)
         rep_o = np.empty(need, np.int64)
         off_o = np.empty(cols, np.int64)
-        if len(ties) < m:
-            ties = np.empty((m, 3), np.int64)
         if top + need > arena_cap:
             arena_cap = max(2 * arena_cap, top + 2 * need)
             par = np.concatenate((par, np.empty(arena_cap - len(par), np.int64)))
             itm = np.concatenate((itm, np.empty(arena_cap - len(itm), np.int64)))
-        pos, top, nt, comps, mc = kernel(
+        pos, top, comps, mc = kernel(
             S, w, rep, off, item.weight, item.level, item.id,
-            S_o, w_o, rep_o, off_o, ties, par, itm, top,
+            S_o, w_o, rep_o, off_o, par, itm, top,
         )
         stats.comparisons += comps
         if mc > stats.max_cell:
             stats.max_cell = mc
-        for t in range(nt):
-            slot, a_node, b_parent = int(ties[t, 0]), int(ties[t, 1]), int(ties[t, 2])
-            ids_b = tuple(sorted(ids_of(b_parent) + (item.id,)))
-            if ids_b < ids_of(a_node):
-                par[top] = b_parent
-                itm[top] = item.id
-                ids_memo[top] = ids_b
-                rep_o[slot] = top
-                top += 1
         S, w, rep, off = S_o[:pos], w_o[:pos], rep_o[:pos], off_o
     out = []
     for i in range(int(off[W]), int(off[W + 1])):
         weight = int(w[i])
         if weight == 0:
             continue
+        ids = []
+        node = int(rep[i])
+        while node > 0:
+            ids.append(int(itm[node]))
+            node = int(par[node])
         out.append(
             Label(
                 vector=_suffix_row_to_vector(S[i], k),
                 weight=weight,
-                items=ids_of(int(rep[i])),
+                items=tuple(sorted(ids)),
             )
         )
     out.sort(key=canonical_key)

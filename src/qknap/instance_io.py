@@ -206,5 +206,6 @@ def serialize_frontier(result: FrontierResult) -> str:
         f"# max_cell={s.max_cell}",
         f"# comparisons={s.comparisons}",
         f"# wall_time={s.wall_time:.6f}",
+        f"# backend={s.backend}",
     ]
     return "\n".join(lines) + "\n"

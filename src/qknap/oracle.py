@@ -91,5 +91,6 @@ def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
     stats = SolveStats(
         comparisons=len(deduped) * len(deduped),
         wall_time=time.perf_counter() - t0,
+        backend="oracle",
     )
     return FrontierResult(labels=tuple(frontier), stats=stats)

@@ -1,8 +1,13 @@
+import random
 import shutil
+import subprocess
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qknap.dp
 from helpers import instances
@@ -123,6 +128,21 @@ def test_solve_matches_oracle_exactly(inst):
         assert solve(inst).labels == want
 
 
+@settings(deadline=None, max_examples=60)
+@given(instances(max_n=9, max_k=4, max_weight=4, max_capacity=16), st.randoms(use_true_random=False))
+def test_item_order_does_not_change_the_answer(inst, rng):
+    shuffled = list(inst.items)
+    rng.shuffle(shuffled)
+    orders = [replace(inst, items=inst.items[::-1]), replace(inst, items=tuple(shuffled))]
+    # --matrix sweeps items in input order and settles ties by the id-tuple rule
+    want = solve(inst, keep_matrix=True).labels
+    for min_cells in (1, 10**12):  # C kernel forced on, then off
+        with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
+            assert solve(inst).labels == want
+            for other in orders:
+                assert solve(other).labels == want
+
+
 @settings(deadline=None, max_examples=40)
 @given(instances(max_n=8, max_k=3, max_weight=5, max_capacity=12))
 def test_cells_are_filter_stable_and_bounded(inst):
@@ -161,6 +181,26 @@ _PATH_SHAPES = [
     GeneratorParams(n=40, k=2, weight_max=1, seed=7, capacity=12),  # all ties
 ]
 
+# The shapes above number items 1..n in input order, so each new item has the
+# largest id so far. These tie-heavy shapes carry ids in a seeded shuffle
+# instead: (shape, shuffle seed).
+_SHUFFLED_ID_SHAPES = [
+    (GeneratorParams(n=24, k=3, weight_max=3, seed=8, capacity=30), 1),
+    (GeneratorParams(n=30, k=2, weight_max=2, seed=9, capacity=25), 2),
+    (GeneratorParams(n=40, k=2, weight_max=1, seed=10, capacity=12), 3),  # all ties
+    (GeneratorParams(n=24, k=4, weight_max=3, seed=11, capacity=30), 4),
+]
+
+
+def _path_instance(shape):
+    if isinstance(shape, GeneratorParams):
+        return generate_instance(shape)
+    params, seed = shape
+    inst = generate_instance(params)
+    ids = [item.id for item in inst.items]
+    random.Random(seed).shuffle(ids)
+    return replace(inst, items=tuple(replace(item, id=i) for item, i in zip(inst.items, ids)))
+
 
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_tie_break_matches_global_oracle_rule(seed):
@@ -177,14 +217,17 @@ def test_tie_break_matches_global_oracle_rule(seed):
     assert solve(inst).labels == enumerate_frontier(inst).labels
 
 
-@pytest.mark.skipif(
+needs_cc = pytest.mark.skipif(
     shutil.which(qknap.dp._compiler()[0]) is None,
     reason=f"no C compiler {qknap.dp._compiler()[0]!r} to build the row kernel",
 )
-@pytest.mark.parametrize("params", _PATH_SHAPES)
+
+
+@needs_cc
+@pytest.mark.parametrize("params", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
 def test_jit_and_numpy_paths_agree(params, monkeypatch):
     assert qknap.dp._load_row_kernel() is not None, qknap.dp._row_kernel_reason
-    inst = generate_instance(params)
+    inst = _path_instance(params)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
     ref = solve(inst)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
@@ -195,6 +238,18 @@ def test_jit_and_numpy_paths_agree(params, monkeypatch):
         fast.stats.max_cell,
         fast.stats.comparisons,
     )
+
+
+@needs_cc
+def test_row_kernel_compiles_without_warnings(tmp_path):
+    source = Path(qknap.dp.__file__).with_name("_rowkernel.c")
+    argv = [*qknap.dp._compiler(), "-Wall", "-Wextra", "-Werror", *qknap.dp._CFLAGS]
+    run = subprocess.run(
+        [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_without_a_compiler_solve_falls_back_to_numpy(tmp_path, monkeypatch):
