@@ -19,7 +19,7 @@ from .dominance import (
     suffix_sums,
     weakly_dominates,
 )
-from .dp import FrontierResult, LabelMatrix, SolveStats, label_bound, solve
+from .dp import label_bound, solve
 from .greedy import Guarantee, GreedyResult, greedy_r, greedy_w, r_lex_order, w_lex_order
 from .instance_io import (
     GeneratorParams,
@@ -31,10 +31,13 @@ from .instance_io import (
     serialize_instance,
 )
 from .model import (
+    FrontierResult,
     Instance,
     InvalidInstanceError,
     Item,
     Label,
+    LabelMatrix,
+    SolveStats,
     rank_cardinality_vector,
     total_weight,
     validate_instance,

@@ -1,41 +1,35 @@
 """Exact frontier computation by dynamic programming over label sets.
 
-The solver sweeps the items and, for every capacity budget x in 0..W,
-maintains the set of non-dominated rank cardinality vectors reachable
-with the items seen so far. Each vector is carried as a label holding
-its suffix-sum form, its minimal achieving weight, and a chain encoding
+The solver sweeps the items in input order and, for every capacity
+budget x in 0..W, maintains the set of non-dominated rank cardinality
+vectors reachable with the items seen so far. Each vector is carried as
+a label holding its suffix-sum form, its minimal achieving weight, and
 one witness subset. Merging a cell with its extended predecessor keeps
 exactly the labels that survive the suffix-sum dominance test; equal
 vectors are collapsed to the lighter witness, then to the
-lexicographically smallest id tuple.
+lexicographically smallest id tuple. Reported cells never include the
+empty selection's all-zero label.
 
-Labels are stored internally as suffix-sum rows so dominance is a plain
-componentwise comparison; witness subsets are parent-pointer chains so
-extending a label is O(1). Reported cells never include the empty
-selection's all-zero label.
+A row's labels live packed in (S, w, M) blocks, with off[x]:off[x+1]
+delimiting capacity x. S holds suffix sums, so dominance is a plain
+componentwise comparison. M holds each witness as a bit set of
+ceil(n/64) uint64 words over the items ranked by ascending id: rank r
+is bit 63 - r % 64 of word r // 64. Equal-vector, equal-weight
+witnesses have the same size, and the one with the smaller sorted id
+tuple holds the least id of their symmetric difference, so its words
+compare larger as unsigned integers, word 0 first. That settles every
+tie in O(n/64), whatever the order in which items are swept.
 
-The witness rule is global, so the final labels do not depend on the
-order in which items are swept. Equal-vector, equal-weight witnesses
-have the same size, and of two sorted id tuples of equal length the
-smaller holds the least element of their symmetric difference; adding
-one item to both leaves that element alone. ``solve`` therefore sweeps
-items in descending id order, except with ``keep_matrix``, whose cells
-are defined by input prefixes. In that order the item being added has a
-smaller id than every id of a rival witness, so every tie goes to the
-extension and is settled in O(1).
-
-Two drivers produce identical results: a per-cell numpy path that also
-supports keeping the whole matrix and applies the id-tuple rule in any
-item order, and a row-at-a-time path, where labels live in one
-contiguous block per row and witness chains are indices into a parent
-arena. The row driver's kernel is C (``_rowkernel.c``, shipped beside
-this module) and relies on the descending order for ties. The first
-solve of at least ``_KERNEL_MIN_CELLS`` cells compiles it with ``$CC``
-(else ``cc``) into ``$XDG_CACHE_HOME/qknap`` (else ``~/.cache/qknap``),
-under a name keyed by the source, the platform and the flags, and loads
-it through ctypes. Later processes load the cached file. When no
-compiler runs or the cache is not writable, every solve takes the numpy
-driver. ``SolveStats.backend`` names the driver that ran.
+One row kernel merges a row, in two implementations that give the same
+labels and counters: C (``_rowkernel.c``, shipped beside this module)
+and its pure-Python twin ``_row_kernel_py``, which follows it step for
+step. The first solve of at least ``_KERNEL_MIN_CELLS`` cells compiles
+the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
+(else ``~/.cache/qknap``), under a name keyed by the source, the
+platform and the flags, and loads it through ctypes. Later processes
+load the cached file. Smaller solves, and every solve when no compiler
+runs or the cache is not writable, take the Python twin.
+``SolveStats.backend`` names the kernel that ran.
 """
 
 from __future__ import annotations
@@ -45,73 +39,34 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, replace
+from operator import ge
 from pathlib import Path
 
 import numpy as np
 
-from .model import Instance, Label, canonical_key, validate_instance
+from .model import (
+    FrontierResult,
+    Instance,
+    Label,
+    LabelMatrix,
+    SolveStats,
+    canonical_key,
+    validate_instance,
+)
 
-__all__ = ["FrontierResult", "LabelMatrix", "SolveStats", "label_bound", "solve"]
+__all__ = ["label_bound", "solve"]
 
 # Solves of at least this many cells (n * (W + 1)) run the C kernel. At
-# 2,000 cells the numpy driver takes 35-65 us per cell (0.07-0.13 s a
-# solve), the kernel 1-2 us, and building the kernel once, cached for later
-# processes, 0.12-0.17 s (2-vCPU VM, gcc 12): about one numpy solve of
-# that size. Smaller solves, such as a cold start on a tiny instance,
+# 2,000 cells the Python twin takes 9-30 us per cell (18-60 ms a solve),
+# the C kernel 1-2 us, and building the C kernel once, cached for later
+# processes, 0.16-0.21 s (2-vCPU VM, gcc 12.2): three to ten Python solves
+# of that size. Smaller solves, such as a cold start on a tiny instance,
 # never start the compiler.
 _KERNEL_MIN_CELLS = 2_000
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _UNSET = object()
 _row_kernel = _UNSET
 _row_kernel_reason = "not loaded yet"
-
-
-@dataclass
-class SolveStats:
-    """Counters from one solver run.
-
-    ``backend`` names what ran: ``"c-kernel"`` or ``"numpy"`` for the DP
-    drivers, ``"oracle"`` for brute-force enumeration. Given the same
-    input and backend, only wall_time varies between runs.
-    """
-
-    cells: int = 0
-    max_cell: int = 0
-    comparisons: int = 0
-    wall_time: float = 0.0
-    backend: str = ""
-
-
-@dataclass(frozen=True)
-class LabelMatrix:
-    """All DP cells, materialized: ``cells[i][x]`` for i in 0..n, x in 0..W."""
-
-    cells: tuple[tuple[tuple[Label, ...], ...], ...]
-
-    def cell(self, i: int, x: int) -> tuple[Label, ...]:
-        return self.cells[i][x]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.cells[0])
-
-
-@dataclass(frozen=True)
-class FrontierResult:
-    """Non-dominated labels in canonical order, plus run counters."""
-
-    labels: tuple[Label, ...]
-    stats: SolveStats
-    matrix: LabelMatrix | None = None
-
-    @property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(lab.vector for lab in self.labels)
 
 
 def label_bound(k: int, i: int) -> int:
@@ -133,166 +88,125 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     """
     validate_instance(inst)
     t0 = time.perf_counter()
-    n, W = len(inst.items), inst.capacity
-    stats = SolveStats(cells=n * (W + 1))
-    kernel = None
-    if not keep_matrix:
-        # settles witness ties toward the extension; see the module docstring
-        inst = replace(inst, items=tuple(sorted(inst.items, key=lambda it: it.id, reverse=True)))
-        if n * (W + 1) >= _KERNEL_MIN_CELLS:
-            kernel = _load_row_kernel()
-    if kernel is not None:
-        stats.backend = "c-kernel"
-        labels = _solve_rows(inst, stats, kernel)
-        matrix = None
-    else:
-        stats.backend = "numpy"
-        labels, matrix = _solve_cells_numpy(inst, stats, keep_matrix)
+    n, k, W = len(inst.items), inst.k, inst.capacity
+    stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
+    kernel = _load_row_kernel() if stats.cells >= _KERNEL_MIN_CELLS else None
+    if kernel is None:
+        kernel, stats.backend = _row_kernel_py, "python"
+    ids = sorted(item.id for item in inst.items)
+    rank = {iid: r for r, iid in enumerate(ids)}
+    nw = -(-n // 64)
+    # row 0: the all-zero label (empty subset) in every column
+    row = (
+        np.zeros((W + 1, k), np.int64),
+        np.zeros(W + 1, np.int64),
+        np.zeros((W + 1, nw), np.uint64),
+        np.arange(W + 2, dtype=np.int64),
+    )
+    rows = [row]
+    for item in inst.items:
+        need = 2 * len(row[1])  # survivors of each column fit in ma + mb
+        S_o = np.empty((need, k), np.int64)
+        w_o = np.empty(need, np.int64)
+        M_o = np.empty((need, nw), np.uint64)
+        off_o = np.empty(W + 2, np.int64)
+        pos, comps, mc = kernel(*row, item.weight, item.level, rank[item.id], S_o, w_o, M_o, off_o)
+        stats.comparisons += comps
+        stats.max_cell = max(stats.max_cell, mc)
+        row = (S_o[:pos], w_o[:pos], M_o[:pos], off_o)
+        if keep_matrix:
+            rows.append(row)
+    labels = _cell_labels(row, W, ids)
+    matrix = None
+    if keep_matrix:
+        cells = (tuple(_cell_labels(r, x, ids) for x in range(W + 1)) for r in rows)
+        matrix = LabelMatrix(tuple(cells))
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
 
-def _suffix_row_to_vector(row, k: int) -> tuple[int, ...]:
-    return tuple(int(row[j]) - int(row[j + 1]) for j in range(k - 1)) + (int(row[k - 1]),)
+def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
+    """Reported view of column x of a row: zero label stripped, canonical order.
 
-
-# --------------------------------------------------------------------------
-# Reference driver: one numpy merge per cell, optional full matrix.
-
-
-class _Node:
-    """Witness-subset chain: one item id per link, root carries the empty tuple."""
-
-    __slots__ = ("parent", "item_id", "_ids")
-
-    def __init__(self, parent: "_Node | None", item_id: int | None) -> None:
-        self.parent = parent
-        self.item_id = item_id
-        self._ids: tuple[int, ...] | None = None
-
-    def ids(self) -> tuple[int, ...]:
-        """Ascending id tuple of the subset; cached once materialized."""
-        if self._ids is None:
-            acc = []
-            node = self
-            while node._ids is None:
-                acc.append(node.item_id)
-                node = node.parent
-            acc.extend(node._ids)
-            self._ids = tuple(sorted(acc))
-        return self._ids
-
-
-_ROOT = _Node(None, None)
-_ROOT._ids = ()
-
-
-def _merge_numpy(Sa, wa, Sb0, wb0, level, wt):
-    """Merge a cell (Sa, wa) with its predecessor (Sb0, wb0) extended by one item.
-
-    Both sides are internally dominance-free. Returns packed survivor
-    rows (A side first), each with its source row index, the (a, b)
-    pairs equal in both vector and weight (their ranking needs the
-    id-tuple rule, which lives outside; the B member is tentatively
-    dropped), and the B survivor count. A label killed by an equal-
-    vector twin may still kill others: dominance is transitive, so the
-    surviving twin covers them.
+    ``ids`` lists the item ids in rank order, which is ascending, so each
+    witness comes out sorted.
     """
-    Sb = Sb0.copy()
-    Sb[:, :level] += 1  # one more item at `level` raises suffix sums up to it
-    wb = wb0 + wt
-    ge_ba = (Sb[:, None, :] >= Sa[None, :, :]).all(axis=2)  # (mb, ma)
-    ge_ab = (Sa[:, None, :] >= Sb[None, :, :]).all(axis=2)  # (ma, mb)
-    eq = ge_ba & ge_ab.T
-    tie_mask = eq & (wb[:, None] == wa[None, :])
-    kill_a = ((ge_ba & ~ge_ab.T) | (eq & (wb[:, None] < wa[None, :]))).any(axis=0)
-    kill_b = (
-        (ge_ab & ~ge_ba.T) | (eq.T & (wa[:, None] < wb[None, :])) | tie_mask.T
-    ).any(axis=0)
-    ties = np.argwhere(tie_mask)[:, ::-1]  # as (a, b)
-    if len(ties):
-        ties = ties[~kill_a[ties[:, 0]]]  # moot once A lost to a strict dominator
-    keep_a = np.flatnonzero(~kill_a)
-    keep_b = np.flatnonzero(~kill_b)
-    S_out = np.concatenate((Sa[keep_a], Sb[keep_b]))
-    w_out = np.concatenate((wa[keep_a], wb[keep_b]))
-    idx = np.concatenate((keep_a, keep_b))
-    return S_out, w_out, idx, ties, len(keep_b)
-
-
-def _materialize_cell(cell) -> tuple[Label, ...]:
-    """Reported view of a cell: zero label stripped, canonical order."""
-    S, w, reps = cell
-    k = S.shape[1]
+    S, w, M, off = row
+    a, b = off[x], off[x + 1]
     out = []
-    for i in range(len(w)):
-        weight = int(w[i])
+    for s, weight, words in zip(S[a:b].tolist(), w[a:b].tolist(), M[a:b].tolist()):
         if weight == 0:
             continue
-        out.append(
-            Label(
-                vector=_suffix_row_to_vector(S[i], k),
-                weight=weight,
-                items=reps[i].ids(),
-            )
-        )
+        items = []
+        for q, word in enumerate(words):
+            while word:
+                top = word.bit_length() - 1
+                items.append(ids[64 * q + 63 - top])
+                word ^= 1 << top
+        vector = tuple(s[j] - s[j + 1] for j in range(len(s) - 1)) + (s[-1],)
+        out.append(Label(vector=vector, weight=weight, items=tuple(items)))
     out.sort(key=canonical_key)
     return tuple(out)
 
 
-def _solve_cells_numpy(inst, stats, keep_matrix):
-    k, W = inst.k, inst.capacity
-    zero_cell = (np.zeros((1, k), np.int64), np.zeros(1, np.int64), [_ROOT])
-    prev = [zero_cell] * (W + 1)
-    rows = [prev]
-    for item in inst.items:
-        wt, lvl, iid = item.weight, item.level, item.id
-        cur = prev[: min(wt, W + 1)]
-        for x in range(wt, W + 1):
-            cell_a = prev[x]
-            Sa, wa, ra = cell_a
-            Sb0, wb0, rb0 = prev[x - wt]
-            S_out, w_out, idx, ties, nb = _merge_numpy(Sa, wa, Sb0, wb0, lvl, wt)
-            stats.comparisons += len(wa) * len(wb0)
-            flips = []
-            for a, b in ties:
-                a, b = int(a), int(b)
-                ids_b = tuple(sorted(rb0[b].ids() + (iid,)))
-                if ids_b < ra[a].ids():
-                    flips.append((a, b, ids_b))
-            m = len(w_out)
-            na = m - nb
-            if nb == 0 and na == len(wa) and not flips:
-                cur.append(cell_a)  # extension contributed nothing; share the cell
-                continue
-            reps = [None] * m
-            for slot in range(na):
-                reps[slot] = ra[idx[slot]]
-            for slot in range(na, m):
-                reps[slot] = _Node(rb0[idx[slot]], iid)
-            for a, b, ids_b in flips:
-                node = _Node(rb0[b], iid)
-                node._ids = ids_b
-                reps[int(np.searchsorted(idx[:na], a))] = node
-            if not (m == 1 and w_out[0] == 0) and m > stats.max_cell:
-                stats.max_cell = m
-            cur.append((S_out, w_out, reps))
-        prev = cur
-        if keep_matrix:
-            rows.append(cur)
-    labels = _materialize_cell(prev[W])
-    matrix = None
-    if keep_matrix:
-        matrix = LabelMatrix(tuple(tuple(_materialize_cell(c) for c in row) for row in rows))
-    return labels, matrix
+def _row_kernel_py(S, w, M, off, wt, level, rank, S_o, w_o, M_o, off_o):
+    """Pure-Python twin of ``qknap_row_kernel`` in ``_rowkernel.c``.
+
+    Same arguments, same writes and same ``(pos, comparisons, max_cell)``;
+    the C file documents the layout and the tie rule.
+    """
+    word, bit = rank // 64, 1 << (63 - rank % 64)
+    S, w, M, off = S.tolist(), w.tolist(), M.tolist(), off.tolist()
+    pos = comparisons = max_cell = 0
+    S_out, w_out, M_out, offs = [], [], [], []
+    for x in range(len(off) - 1):
+        offs.append(pos)
+        a0, ma, b0, mb = off[x], off[x + 1] - off[x], 0, 0
+        if x >= wt:  # else the item does not fit and the cell carries over
+            b0, mb = off[x - wt], off[x - wt + 1] - off[x - wt]
+        comparisons += ma * mb
+        kill_a = [False] * ma
+        kill_b = [False] * mb
+        ext = [[v + 1 if j < level else v for j, v in enumerate(S[b])] for b in range(b0, b0 + mb)]
+        ext_M = [M[b][:word] + [M[b][word] | bit] + M[b][word + 1 :] for b in range(b0, b0 + mb)]
+        for ai in range(ma):
+            sa = S[a0 + ai]
+            for bi in range(mb):
+                sb = ext[bi]
+                if sa == sb:
+                    # equal vectors: the lighter witness, then the smaller id tuple,
+                    # whose word list compares larger
+                    wa, wb = w[a0 + ai], w[b0 + bi] + wt
+                    if wa < wb or (wa == wb and M[a0 + ai] > ext_M[bi]):
+                        kill_b[bi] = True
+                    else:
+                        kill_a[ai] = True
+                elif all(map(ge, sb, sa)):
+                    kill_a[ai] = True
+                elif all(map(ge, sa, sb)):
+                    kill_b[bi] = True
+        for ai in range(ma):
+            if not kill_a[ai]:
+                S_out.append(S[a0 + ai])
+                w_out.append(w[a0 + ai])
+                M_out.append(M[a0 + ai])
+                pos += 1
+        for bi in range(mb):
+            if not kill_b[bi]:
+                S_out.append(ext[bi])
+                w_out.append(w[b0 + bi] + wt)
+                M_out.append(ext_M[bi])
+                pos += 1
+        m = pos - offs[x]
+        if m > max_cell and not (m == 1 and w_out[offs[x]] == 0):
+            max_cell = m
+    offs.append(pos)
+    S_o[:pos], w_o[:pos], M_o[:pos], off_o[:] = S_out, w_out, M_out, offs
+    return pos, comparisons, max_cell
 
 
 # --------------------------------------------------------------------------
-# Row driver: one C kernel call per row over contiguous storage.
-#
-# A row's labels live packed in (S, w, rep) blocks with off[x]:off[x+1]
-# delimiting capacity x. Witness chains are arena entries: node i has
-# parent par[i] and appended item itm[i]; node 0 is the empty root.
+# Loading the C kernel.
 
 
 def _compiler() -> list[str]:
@@ -304,7 +218,7 @@ def _load_row_kernel():
     """The compiled C row kernel, built on first use; None if it cannot be had.
 
     ``_row_kernel_reason`` then names the shared object that loaded, or
-    why none did. Without a kernel every solve runs the numpy driver.
+    why none did. Without it every solve runs ``_row_kernel_py``.
     """
     global _row_kernel, _row_kernel_reason
     if _row_kernel is _UNSET:
@@ -352,81 +266,26 @@ def _build_row_kernel():
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
     except OSError as exc:
         return None, f"cannot load {lib}: {exc}"
-    arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    fn.argtypes = [arr] * 4 + [i64] * 5 + [arr] * 6 + [i64, arr]
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    fn.argtypes = [i64, i64, u64, i64] + [ctypes.c_int64] * 6 + [i64, i64, u64, i64, i64]
     fn.restype = ctypes.c_int
 
-    def kernel(S, w, rep, off, wt, level, iid, S_o, w_o, rep_o, off_o, par, itm, top):
-        # the C side writes unchecked: up to m kept and m extended labels, m new nodes
-        m, k = S.shape
+    def kernel(S, w, M, off, wt, level, rank, S_o, w_o, M_o, off_o):
+        # the C side writes unchecked: up to m kept and m extended labels
+        (m, k), nw = S.shape, M.shape[1]
         if not (
-            len(w) == len(rep) == m == off[-1]
+            len(w) == len(M) == m == off[-1]
             and S_o.shape[1] == k
-            and min(len(S_o), len(w_o), len(rep_o)) >= 2 * m
+            and M_o.shape[1] == nw
+            and min(len(S_o), len(w_o), len(M_o)) >= 2 * m
             and len(off_o) == len(off)
-            and min(len(par), len(itm)) >= top + m
+            and 0 <= rank < 64 * nw
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        out = np.empty(4, np.int64)
-        if fn(S, w, rep, off, len(off) - 1, k, wt, level, iid,
-              S_o, w_o, rep_o, off_o, par, itm, top, out) != 0:
+        out = np.empty(3, np.int64)
+        if fn(S, w, M, off, len(off) - 1, k, nw, wt, level, rank, S_o, w_o, M_o, off_o, out) != 0:
             raise MemoryError("row kernel could not allocate its scratch space")
-        return tuple(out.tolist())  # pos, top, comparisons, max_cell
+        return tuple(out.tolist())  # pos, comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"
-
-
-def _solve_rows(inst, stats, kernel):
-    k, W = inst.k, inst.capacity
-    cols = W + 2
-    # row 0: the all-zero label (empty subset, arena root 0) in every column
-    m0 = W + 1
-    S = np.zeros((m0, k), np.int64)
-    w = np.zeros(m0, np.int64)
-    rep = np.zeros(m0, np.int64)
-    off = np.arange(cols, dtype=np.int64)
-    arena_cap = 1 << 12
-    par = np.empty(arena_cap, np.int64)
-    itm = np.empty(arena_cap, np.int64)
-    par[0] = -1
-    itm[0] = 0
-    top = 1
-    for item in inst.items:
-        m = int(off[W + 1])
-        need = 2 * m  # survivors of each column fit in ma + mb
-        S_o = np.empty((need, k), np.int64)
-        w_o = np.empty(need, np.int64)
-        rep_o = np.empty(need, np.int64)
-        off_o = np.empty(cols, np.int64)
-        if top + need > arena_cap:
-            arena_cap = max(2 * arena_cap, top + 2 * need)
-            par = np.concatenate((par, np.empty(arena_cap - len(par), np.int64)))
-            itm = np.concatenate((itm, np.empty(arena_cap - len(itm), np.int64)))
-        pos, top, comps, mc = kernel(
-            S, w, rep, off, item.weight, item.level, item.id,
-            S_o, w_o, rep_o, off_o, par, itm, top,
-        )
-        stats.comparisons += comps
-        if mc > stats.max_cell:
-            stats.max_cell = mc
-        S, w, rep, off = S_o[:pos], w_o[:pos], rep_o[:pos], off_o
-    out = []
-    for i in range(int(off[W]), int(off[W + 1])):
-        weight = int(w[i])
-        if weight == 0:
-            continue
-        ids = []
-        node = int(rep[i])
-        while node > 0:
-            ids.append(int(itm[node]))
-            node = int(par[node])
-        out.append(
-            Label(
-                vector=_suffix_row_to_vector(S[i], k),
-                weight=weight,
-                items=tuple(sorted(ids)),
-            )
-        )
-    out.sort(key=canonical_key)
-    return tuple(out)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .dp import FrontierResult
-from .model import Instance, Item, RankVector, validate_instance
+from .model import FrontierResult, Instance, Item, RankVector, validate_instance
 
 __all__ = [
     "GeneratorParams",

@@ -4,7 +4,8 @@ Items carry a positive integer weight and a qualitative level index in
 1..k, where level 1 is the worst grade and level k the best. A selection
 of items is summarized by its rank cardinality vector: the per-level
 count of selected items. All comparisons between selections go through
-those count vectors, never through numeric profits.
+those count vectors, never through numeric profits. The solvers report
+their results as the frontier types defined here.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from functools import cached_property
 from typing import Iterable
 
 __all__ = [
+    "FrontierResult",
     "InvalidInstanceError",
     "Item",
     "Instance",
     "Label",
+    "LabelMatrix",
     "RankVector",
+    "SolveStats",
     "Subset",
     "canonical_key",
     "rank_cardinality_vector",
@@ -31,6 +35,9 @@ RankVector = tuple[int, ...]
 
 # A subset of an instance, identified by item ids.
 Subset = frozenset[int]
+
+# The DP adds weights in int64, so weights and capacity stay below this.
+_INT64_LIMIT = 2**63
 
 
 class InvalidInstanceError(ValueError):
@@ -85,6 +92,55 @@ class Label:
     items: tuple[int, ...]
 
 
+@dataclass
+class SolveStats:
+    """Counters from one solver run.
+
+    ``backend`` names what ran: ``"c-kernel"`` or ``"python"`` for the
+    two implementations of the DP row kernel, ``"oracle"`` for
+    brute-force enumeration, which counts no comparisons. Given the same
+    input and backend, only wall_time varies between runs; both kernels
+    give the same counters.
+    """
+
+    cells: int = 0
+    max_cell: int = 0
+    comparisons: int = 0
+    wall_time: float = 0.0
+    backend: str = ""
+
+
+@dataclass(frozen=True)
+class LabelMatrix:
+    """All DP cells, materialized: ``cells[i][x]`` for i in 0..n, x in 0..W."""
+
+    cells: tuple[tuple[tuple[Label, ...], ...], ...]
+
+    def cell(self, i: int, x: int) -> tuple[Label, ...]:
+        return self.cells[i][x]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.cells)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.cells[0])
+
+
+@dataclass(frozen=True)
+class FrontierResult:
+    """Non-dominated labels in canonical order, plus run counters."""
+
+    labels: tuple[Label, ...]
+    stats: SolveStats
+    matrix: LabelMatrix | None = None
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(lab.vector for lab in self.labels)
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
@@ -95,6 +151,8 @@ def validate_instance(raw: Instance) -> Instance:
         raise InvalidInstanceError(f"k must be >= 1, got {raw.k}")
     if raw.capacity < 0:
         raise InvalidInstanceError(f"capacity must be >= 0, got {raw.capacity}")
+    if raw.capacity >= _INT64_LIMIT:
+        raise InvalidInstanceError(f"capacity must be < 2**63, got {raw.capacity}")
     seen: set[int] = set()
     for item in raw.items:
         if item.id < 1:
@@ -104,6 +162,8 @@ def validate_instance(raw: Instance) -> Instance:
         seen.add(item.id)
         if item.weight < 1:
             raise InvalidInstanceError(f"item {item.id}: weight must be >= 1")
+        if item.weight >= _INT64_LIMIT:
+            raise InvalidInstanceError(f"item {item.id}: weight must be < 2**63, got {item.weight}")
         if not 1 <= item.level <= raw.k:
             raise InvalidInstanceError(
                 f"item {item.id}: level out of range (level {item.level}, k={raw.k})"

@@ -11,8 +11,7 @@ import time
 from typing import Iterator
 
 from .dominance import pareto_filter
-from .dp import FrontierResult, SolveStats
-from .model import Instance, Label, Subset, validate_instance
+from .model import FrontierResult, Instance, Label, SolveStats, Subset, validate_instance
 
 __all__ = ["ENUMERATION_GUARD", "OracleGuardError", "enumerate_feasible", "enumerate_frontier"]
 
@@ -88,9 +87,5 @@ def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
             best[vec] = cand
     deduped = list(best.values())
     frontier = pareto_filter(deduped)
-    stats = SolveStats(
-        comparisons=len(deduped) * len(deduped),
-        wall_time=time.perf_counter() - t0,
-        backend="oracle",
-    )
+    stats = SolveStats(wall_time=time.perf_counter() - t0, backend="oracle")
     return FrontierResult(labels=tuple(frontier), stats=stats)

@@ -44,6 +44,15 @@ def test_solve_malformed_file(tmp_path):
     assert "line 5" in proc.stderr and "item count mismatch" in proc.stderr
 
 
+def test_solve_refuses_a_weight_beyond_int64(data_dir):
+    # item 1 weighs 2**64 + 1; summed in int64 it would pass for weight 1
+    for command in ("solve", "enumerate"):
+        proc = run_cli(command, data_dir / "weight_wrap.qknap")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "item 1: weight must be < 2**63" in proc.stderr
+
+
 def test_greedy_modes(data_dir):
     r = run_cli("greedy", data_dir / "table1.qknap", "r")
     assert r.stdout == "items=[2,4] vector=(0,1,0,1) weight=6 guarantee=Efficient\n"

@@ -123,7 +123,7 @@ def test_solve_matches_oracle_exactly(inst):
     got = solve(inst).labels
     want = enumerate_frontier(inst).labels
     assert got == want  # vectors, weights, and witness subsets
-    # the row driver too, whenever the C kernel can be built here
+    # the C kernel too, whenever it can be built here
     with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", 1):
         assert solve(inst).labels == want
 
@@ -134,7 +134,7 @@ def test_item_order_does_not_change_the_answer(inst, rng):
     shuffled = list(inst.items)
     rng.shuffle(shuffled)
     orders = [replace(inst, items=inst.items[::-1]), replace(inst, items=tuple(shuffled))]
-    # --matrix sweeps items in input order and settles ties by the id-tuple rule
+    # every solve sweeps items in input order; the witness rule must not depend on it
     want = solve(inst, keep_matrix=True).labels
     for min_cells in (1, 10**12):  # C kernel forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
@@ -146,28 +146,32 @@ def test_item_order_does_not_change_the_answer(inst, rng):
 @settings(deadline=None, max_examples=40)
 @given(instances(max_n=8, max_k=3, max_weight=5, max_capacity=12))
 def test_cells_are_filter_stable_and_bounded(inst):
-    res = solve(inst, keep_matrix=True)
-    for i in range(res.matrix.n_rows):
-        for x in range(res.matrix.n_cols):
-            cell = list(res.matrix.cell(i, x))
-            assert len(cell) <= label_bound(inst.k, i)
-            assert pareto_filter(cell) == cell
-            for lab in cell:
-                # witnesses draw from the first i items and fit the budget
-                prefix_ids = {it.id for it in inst.items[:i]}
-                assert set(lab.items) <= prefix_ids
-                assert lab.weight == total_weight(lab.items, inst) <= x
-                assert lab.vector == rank_cardinality_vector(lab.items, inst)
+    for min_cells in (1, 10**12):  # C kernel forced on, then off
+        with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
+            res = solve(inst, keep_matrix=True)
+        for i in range(res.matrix.n_rows):
+            for x in range(res.matrix.n_cols):
+                cell = list(res.matrix.cell(i, x))
+                assert len(cell) <= label_bound(inst.k, i)
+                assert pareto_filter(cell) == cell
+                for lab in cell:
+                    # witnesses draw from the first i items and fit the budget
+                    prefix_ids = {it.id for it in inst.items[:i]}
+                    assert set(lab.items) <= prefix_ids
+                    assert lab.weight == total_weight(lab.items, inst) <= x
+                    assert lab.vector == rank_cardinality_vector(lab.items, inst)
 
 
 @settings(deadline=None, max_examples=25)
 @given(instances(max_n=7, max_k=3, max_weight=5, max_capacity=10))
 def test_every_cell_equals_prefix_frontier(inst):
-    res = solve(inst, keep_matrix=True)
-    for i in range(res.matrix.n_rows):
-        for x in range(res.matrix.n_cols):
-            prefix = Instance(k=inst.k, capacity=x, items=inst.items[:i])
-            assert res.matrix.cell(i, x) == enumerate_frontier(prefix).labels, (i, x)
+    for min_cells in (1, 10**12):  # C kernel forced on, then off
+        with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
+            res = solve(inst, keep_matrix=True)
+        for i in range(res.matrix.n_rows):
+            for x in range(res.matrix.n_cols):
+                prefix = Instance(k=inst.k, capacity=x, items=inst.items[:i])
+                assert res.matrix.cell(i, x) == enumerate_frontier(prefix).labels, (i, x, min_cells)
 
 
 _PATH_SHAPES = [
@@ -225,13 +229,14 @@ needs_cc = pytest.mark.skipif(
 
 @needs_cc
 @pytest.mark.parametrize("params", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
-def test_jit_and_numpy_paths_agree(params, monkeypatch):
+def test_c_and_python_kernels_agree(params, monkeypatch):
     assert qknap.dp._load_row_kernel() is not None, qknap.dp._row_kernel_reason
     inst = _path_instance(params)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
     ref = solve(inst)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
     fast = solve(inst)
+    assert (ref.stats.backend, fast.stats.backend) == ("python", "c-kernel")
     assert ref.labels == fast.labels
     assert (ref.stats.cells, ref.stats.max_cell, ref.stats.comparisons) == (
         fast.stats.cells,
@@ -252,7 +257,7 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_without_a_compiler_solve_falls_back_to_numpy(tmp_path, monkeypatch):
+def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(qknap.dp, "_row_kernel", qknap.dp._UNSET)
@@ -261,4 +266,6 @@ def test_without_a_compiler_solve_falls_back_to_numpy(tmp_path, monkeypatch):
     assert "no-such-cc" in qknap.dp._row_kernel_reason
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
     inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
-    assert solve(inst).labels == enumerate_frontier(inst).labels
+    res = solve(inst)
+    assert res.stats.backend == "python"
+    assert res.labels == enumerate_frontier(inst).labels

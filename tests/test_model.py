@@ -42,6 +42,19 @@ def test_validate_rejects_bad_k_and_capacity():
         validate_instance(Instance(k=1, capacity=-1, items=()))
 
 
+def test_validate_rejects_weights_and_capacity_beyond_int64():
+    # tests/data/weight_wrap.qknap: 2**64 + 1 would wrap to 1 in the DP's int64 sums
+    inst = Instance(k=2, capacity=1000, items=(Item(1, 2**64 + 1, 2), Item(2, 3, 1)))
+    with pytest.raises(InvalidInstanceError, match=r"item 1: weight must be < 2\*\*63"):
+        validate_instance(inst)
+    with pytest.raises(InvalidInstanceError, match=r"item 1: weight must be < 2\*\*63"):
+        validate_instance(Instance(k=1, capacity=1, items=(Item(1, 2**63, 1),)))
+    with pytest.raises(InvalidInstanceError, match=r"capacity must be < 2\*\*63"):
+        validate_instance(Instance(k=1, capacity=2**63, items=()))
+    edge = Instance(k=1, capacity=2**63 - 1, items=(Item(1, 2**63 - 1, 1),))
+    assert validate_instance(edge) is edge
+
+
 def test_validate_rejects_nonpositive_id():
     inst = Instance(k=1, capacity=1, items=(Item(0, 1, 1),))
     with pytest.raises(InvalidInstanceError, match="id must be >= 1"):
