@@ -10,15 +10,18 @@ vectors are collapsed to the lighter witness, then to the
 lexicographically smallest id tuple. Reported cells never include the
 empty selection's all-zero label.
 
-A row's labels live packed in (S, w, M) blocks, with off[x]:off[x+1]
-delimiting capacity x. S holds suffix sums, so dominance is a plain
-componentwise comparison. M holds each witness as a bit set of
-ceil(n/64) uint64 words over the items ranked by ascending id: rank r
-is bit 63 - r % 64 of word r // 64. Equal-vector, equal-weight
-witnesses have the same size, and the one with the smaller sorted id
-tuple holds the least id of their symmetric difference, so its words
-compare larger as unsigned integers, word 0 first. That settles every
-tie in O(n/64), whatever the order in which items are swept.
+A row lives in four flat stdlib ``array`` buffers: S, w and off of
+int64 (typecode "q"), M of uint64 ("Q"). Label i of a row holds the k
+suffix sums S[i*k:(i+1)*k], the weight w[i] and the witness words
+M[i*nw:(i+1)*nw]; labels off[x]:off[x+1] belong to capacity x. Suffix
+sums make dominance a plain componentwise comparison. M holds each
+witness as a bit set of nw = ceil(n/64) words over the items ranked by
+ascending id: rank r is bit 63 - r % 64 of word r // 64. Equal-vector,
+equal-weight witnesses have the same size, and the one with the smaller
+sorted id tuple holds the least id of their symmetric difference, so
+its words compare larger as unsigned integers, word 0 first. That
+settles every tie in O(n/64), whatever the order in which items are
+swept.
 
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
@@ -29,7 +32,13 @@ the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
 platform and the flags, and loads it through ctypes. Later processes
 load the cached file. Smaller solves, and every solve when no compiler
 runs or the cache is not writable, take the Python twin.
-``SolveStats.backend`` names the kernel that ran.
+``SolveStats.backend`` names the kernel that ran. The C kernel gets the
+buffers' addresses as bare pointers, so its ctypes wrapper checks
+first what C cannot: that each buffer is an ``array`` of the right
+typecode, that the row's lengths agree with k, nw and off, that the
+output buffers hold two labels for every input label, and that the
+item's rank falls inside nw words. Otherwise it raises ValueError
+before any C code runs.
 """
 
 from __future__ import annotations
@@ -39,10 +48,9 @@ import os
 import shlex
 import sys
 import time
+from array import array
 from operator import ge
 from pathlib import Path
-
-import numpy as np
 
 from .model import (
     FrontierResult,
@@ -84,11 +92,16 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     Returns the final label set in canonical order, each label carrying
     its minimal-weight witness subset. With ``keep_matrix`` every cell
     of the DP table is retained and materialized (memory grows with
-    n*W; meant for small instances and debugging).
+    n*W; meant for small instances and debugging). Without it the
+    capacity is first clamped to the total weight, beyond which every
+    column repeats the last, so ``stats.cells`` counts n * (min(W, total
+    weight) + 1) cells.
     """
     validate_instance(inst)
     t0 = time.perf_counter()
     n, k, W = len(inst.items), inst.k, inst.capacity
+    if not keep_matrix:  # a matrix shows every column, so it keeps W
+        W = min(W, sum(item.weight for item in inst.items))
     stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
     kernel = _load_row_kernel() if stats.cells >= _KERNEL_MIN_CELLS else None
     if kernel is None:
@@ -98,22 +111,20 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     nw = -(-n // 64)
     # row 0: the all-zero label (empty subset) in every column
     row = (
-        np.zeros((W + 1, k), np.int64),
-        np.zeros(W + 1, np.int64),
-        np.zeros((W + 1, nw), np.uint64),
-        np.arange(W + 2, dtype=np.int64),
+        _zeros("q", (W + 1) * k),
+        _zeros("q", W + 1),
+        _zeros("Q", (W + 1) * nw),
+        array("q", range(W + 2)),
     )
     rows = [row]
     for item in inst.items:
         need = 2 * len(row[1])  # survivors of each column fit in ma + mb
-        S_o = np.empty((need, k), np.int64)
-        w_o = np.empty(need, np.int64)
-        M_o = np.empty((need, nw), np.uint64)
-        off_o = np.empty(W + 2, np.int64)
-        pos, comps, mc = kernel(*row, item.weight, item.level, rank[item.id], S_o, w_o, M_o, off_o)
+        out = (_zeros("q", need * k), _zeros("q", need), _zeros("Q", need * nw), _zeros("q", W + 2))
+        pos, comps, mc = kernel(*row, k, nw, item.weight, item.level, rank[item.id], *out)
         stats.comparisons += comps
         stats.max_cell = max(stats.max_cell, mc)
-        row = (S_o[:pos], w_o[:pos], M_o[:pos], off_o)
+        S_o, w_o, M_o, _ = row = out
+        del S_o[pos * k :], w_o[pos:], M_o[pos * nw :]
         if keep_matrix:
             rows.append(row)
     labels = _cell_labels(row, W, ids)
@@ -125,6 +136,10 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
 
+def _zeros(typecode: str, size: int) -> array:
+    return array(typecode, [0]) * size
+
+
 def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
     """Reported view of column x of a row: zero label stripped, canonical order.
 
@@ -132,11 +147,13 @@ def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
     witness comes out sorted.
     """
     S, w, M, off = row
-    a, b = off[x], off[x + 1]
+    k, nw = len(S) // len(w), len(M) // len(w)  # every column holds at least the zero label
     out = []
-    for s, weight, words in zip(S[a:b].tolist(), w[a:b].tolist(), M[a:b].tolist()):
+    for i in range(off[x], off[x + 1]):
+        weight = w[i]
         if weight == 0:
             continue
+        s, words = S[i * k : i * k + k], M[i * nw : i * nw + nw]
         items = []
         for q, word in enumerate(words):
             while word:
@@ -149,14 +166,16 @@ def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
     return tuple(out)
 
 
-def _row_kernel_py(S, w, M, off, wt, level, rank, S_o, w_o, M_o, off_o):
+def _row_kernel_py(S, w, M, off, k, nw, wt, level, rank, S_o, w_o, M_o, off_o):
     """Pure-Python twin of ``qknap_row_kernel`` in ``_rowkernel.c``.
 
     Same arguments, same writes and same ``(pos, comparisons, max_cell)``;
     the C file documents the layout and the tie rule.
     """
     word, bit = rank // 64, 1 << (63 - rank % 64)
-    S, w, M, off = S.tolist(), w.tolist(), M.tolist(), off.tolist()
+    S = [S[i : i + k].tolist() for i in range(0, len(S), k)]
+    M = [M[i : i + nw].tolist() for i in range(0, len(M), nw)]
+    w, off = w.tolist(), off.tolist()
     pos = comparisons = max_cell = 0
     S_out, w_out, M_out, offs = [], [], [], []
     for x in range(len(off) - 1):
@@ -187,21 +206,24 @@ def _row_kernel_py(S, w, M, off, wt, level, rank, S_o, w_o, M_o, off_o):
                     kill_b[bi] = True
         for ai in range(ma):
             if not kill_a[ai]:
-                S_out.append(S[a0 + ai])
+                S_out += S[a0 + ai]
                 w_out.append(w[a0 + ai])
-                M_out.append(M[a0 + ai])
+                M_out += M[a0 + ai]
                 pos += 1
         for bi in range(mb):
             if not kill_b[bi]:
-                S_out.append(ext[bi])
+                S_out += ext[bi]
                 w_out.append(w[b0 + bi] + wt)
-                M_out.append(ext_M[bi])
+                M_out += ext_M[bi]
                 pos += 1
         m = pos - offs[x]
         if m > max_cell and not (m == 1 and w_out[offs[x]] == 0):
             max_cell = m
     offs.append(pos)
-    S_o[:pos], w_o[:pos], M_o[:pos], off_o[:] = S_out, w_out, M_out, offs
+    S_o[: pos * k] = array("q", S_out)
+    w_o[:pos] = array("q", w_out)
+    M_o[: pos * nw] = array("Q", M_out)
+    off_o[:] = array("q", offs)
     return pos, comparisons, max_cell
 
 
@@ -266,26 +288,35 @@ def _build_row_kernel():
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
     except OSError as exc:
         return None, f"cannot load {lib}: {exc}"
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    fn.argtypes = [i64, i64, u64, i64] + [ctypes.c_int64] * 6 + [i64, i64, u64, i64, i64]
+    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 5
     fn.restype = ctypes.c_int
 
-    def kernel(S, w, M, off, wt, level, rank, S_o, w_o, M_o, off_o):
-        # the C side writes unchecked: up to m kept and m extended labels
-        (m, k), nw = S.shape, M.shape[1]
+    def kernel(S, w, M, off, k, nw, wt, level, rank, S_o, w_o, M_o, off_o):
+        # The C side reads and writes through bare pointers, unchecked: m labels
+        # of k sums and nw words in, up to m kept and m extended labels out.
+        bufs = (S, w, M, off, S_o, w_o, M_o, off_o)
+        m = len(w)
         if not (
-            len(w) == len(M) == m == off[-1]
-            and S_o.shape[1] == k
-            and M_o.shape[1] == nw
-            and min(len(S_o), len(w_o), len(M_o)) >= 2 * m
+            all(isinstance(b, array) for b in bufs)
+            and "".join(b.typecode for b in bufs) == "qqQqqqQq"
+            and k >= 1
+            and wt >= 1
+            and len(S) == m * k
+            and len(M) == m * nw
+            and len(off) >= 2
+            and off[0] == 0
+            and off[-1] == m
+            and len(S_o) >= 2 * m * k
+            and len(w_o) >= 2 * m
+            and len(M_o) >= 2 * m * nw
             and len(off_o) == len(off)
             and 0 <= rank < 64 * nw
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        out = np.empty(3, np.int64)
-        if fn(S, w, M, off, len(off) - 1, k, nw, wt, level, rank, S_o, w_o, M_o, off_o, out) != 0:
+        out = array("q", [0, 0, 0])
+        addr = [b.buffer_info()[0] for b in bufs]
+        if fn(*addr[:4], len(off) - 1, k, nw, wt, level, rank, *addr[4:], out.buffer_info()[0]) != 0:
             raise MemoryError("row kernel could not allocate its scratch space")
-        return tuple(out.tolist())  # pos, comparisons, max_cell
+        return tuple(out)  # pos, comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"

@@ -7,6 +7,15 @@ from qknap import Instance, Item
 DATA = Path(__file__).parent / "data"
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _private_kernel_cache(tmp_path_factory):
+    # The row kernel is built into $XDG_CACHE_HOME/qknap; keep the builds of a
+    # test run out of the user's cache. Subprocesses inherit the variable.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def table1() -> Instance:
     # four items of weights 1..4, one per level, capacity 6

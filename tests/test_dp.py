@@ -1,6 +1,8 @@
 import random
 import shutil
 import subprocess
+import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -19,7 +21,10 @@ from qknap import (
     generate_instance,
     label_bound,
     pareto_filter,
+    parse_instance,
     rank_cardinality_vector,
+    serialize_frontier,
+    serialize_instance,
     solve,
     total_weight,
 )
@@ -82,6 +87,20 @@ def test_solve_zero_capacity(table1):
 
 def test_solve_empty_instance():
     assert solve(Instance(k=2, capacity=5, items=())).labels == ()
+
+
+def test_capacity_beyond_the_total_weight_is_clamped():
+    inst = generate_instance(GeneratorParams(n=8, k=1, weight_max=5, seed=3, capacity=1))
+    n, total = len(inst.items), sum(item.weight for item in inst.items)
+    at = solve(replace(inst, capacity=total))
+    # unclamped, this solve would allocate about 100 MB, not fail
+    beyond = solve(replace(inst, capacity=total + 10**6))
+    assert beyond.labels == at.labels
+    assert beyond.stats.cells == at.stats.cells == n * (total + 1)
+    # a matrix shows every column up to the capacity
+    matrix = solve(replace(inst, capacity=total + 3), keep_matrix=True)
+    assert matrix.labels == at.labels
+    assert matrix.stats.cells == n * (total + 4) and matrix.matrix.n_cols == total + 4
 
 
 def test_label_bound_examples():
@@ -257,6 +276,48 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def _kernel_args():
+    """Arguments that fit: row 0 of a solve with k=2, nw=1, W=3 (m=4 labels)."""
+    return dict(
+        S=array("q", [0]) * 8,
+        w=array("q", [0]) * 4,
+        M=array("Q", [0]) * 4,
+        off=array("q", range(5)),
+        k=2,
+        nw=1,
+        wt=1,
+        level=1,
+        rank=0,
+        S_o=array("q", [0]) * 16,
+        w_o=array("q", [0]) * 8,
+        M_o=array("Q", [0]) * 8,
+        off_o=array("q", [-1]) * 5,
+    )
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(S_o=array("q", [0]) * 15),
+        dict(M_o=array("Q", [0]) * 7),
+        dict(S=array("d", [0]) * 8),
+        dict(rank=64),
+    ],
+    ids=["short-S_o", "short-M_o", "double-S", "rank-beyond-nw-words"],
+)
+def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
+    # the C side writes through bare pointers, so the wrapper must refuse first
+    kernel = qknap.dp._load_row_kernel()
+    assert kernel is not None, qknap.dp._row_kernel_reason
+    args = _kernel_args()
+    assert kernel(**args) == (4, 3, 1) and list(args["off_o"]) == [0, 1, 2, 3, 4]
+    args = {**_kernel_args(), **bad}
+    with pytest.raises(ValueError, match="do not fit"):
+        kernel(**args)
+    assert set(args["off_o"]) == {-1}  # no C code ran
+
+
 def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -269,3 +330,25 @@ def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
     res = solve(inst)
     assert res.stats.backend == "python"
     assert res.labels == enumerate_frontier(inst).labels
+
+
+def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
+    big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
+    assert solve(big).stats.cells >= qknap.dp._KERNEL_MIN_CELLS
+    (tmp_path / "big.qknap").write_text(serialize_instance(big))
+    kernel_backend = "c-kernel" if shutil.which(qknap.dp._compiler()[0]) else "python"
+    script = (
+        'import sys; sys.modules["numpy"] = None; '
+        "from qknap.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    for path, backend in [(data_dir / "table1.qknap", "python"), (tmp_path / "big.qknap", kernel_backend)]:
+        run = subprocess.run(
+            [sys.executable, "-c", script, "solve", str(path)], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert f"# backend={backend}" in lines
+        want = serialize_frontier(solve(parse_instance(path.read_text()))).splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")] == [
+            ln for ln in want if not ln.startswith("#")
+        ]
