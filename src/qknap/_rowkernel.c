@@ -17,8 +17,9 @@
  * as unsigned integers, word 0 first. This holds in any item order.
  *
  * On return out holds pos (labels written), the dominance comparisons
- * made and the largest nonzero cell. Returns 0, or -1 if scratch memory
- * could not be allocated.
+ * made and the largest nonzero cell. Returns 0, -1 if scratch memory
+ * could not be allocated, or -2, before any allocation or write, if the
+ * offsets decrease somewhere.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -44,9 +45,12 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const uint64_t *M,
     int64_t pos = 0, comparisons = 0, max_cell = 0, widest = 1;
     int64_t word = rank / 64;
     uint64_t bit = (uint64_t)1 << (63 - rank % 64);
-    for (int64_t x = 0; x < W1; x++)
+    for (int64_t x = 0; x < W1; x++) {
+        if (off[x + 1] < off[x])
+            return -2;
         if (off[x + 1] - off[x] > widest)
             widest = off[x + 1] - off[x];
+    }
     char *kill_a = malloc(widest);
     char *kill_b = malloc(widest);
     if (!kill_a || !kill_b) {

@@ -32,17 +32,22 @@ the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
 platform and the flags, and loads it through ctypes. Later processes
 load the cached file. Smaller solves, and every solve when no compiler
 runs or the cache is not writable, take the Python twin.
-``SolveStats.backend`` names the kernel that ran. The C kernel gets the
-buffers' addresses as bare pointers, so its ctypes wrapper checks
-first what C cannot: that each buffer is an ``array`` of the right
-typecode, that the row's lengths agree with k, nw and off, that the
-output buffers hold two labels for every input label, and that the
-item's rank falls inside nw words. Otherwise it raises ValueError
-before any C code runs.
+``SolveStats.backend`` names the kernel that ran.
+
+Both kernels take a row and one item and return the next row: one row
+in, one row out. The C kernel gets the buffers' addresses as bare
+pointers, so its ctypes wrapper allocates the next row itself, room for
+two labels for every input label, and trims it to what C wrote. It
+checks first what C cannot: that each input buffer is an ``array`` of
+the right typecode, that the row's lengths agree with k, nw and off,
+and that the item's rank falls inside nw words. Otherwise it raises
+ValueError before any C code runs; C itself refuses offsets that
+decrease, before it allocates or writes anything.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import shlex
@@ -72,9 +77,6 @@ __all__ = ["label_bound", "solve"]
 # never start the compiler.
 _KERNEL_MIN_CELLS = 2_000
 _CFLAGS = ("-O2", "-shared", "-fPIC")
-_UNSET = object()
-_row_kernel = _UNSET
-_row_kernel_reason = "not loaded yet"
 
 
 def label_bound(k: int, i: int) -> int:
@@ -103,7 +105,7 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     if not keep_matrix:  # a matrix shows every column, so it keeps W
         W = min(W, sum(item.weight for item in inst.items))
     stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
-    kernel = _load_row_kernel() if stats.cells >= _KERNEL_MIN_CELLS else None
+    kernel = _load_row_kernel()[0] if stats.cells >= _KERNEL_MIN_CELLS else None
     if kernel is None:
         kernel, stats.backend = _row_kernel_py, "python"
     ids = sorted(item.id for item in inst.items)
@@ -118,13 +120,9 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     )
     rows = [row]
     for item in inst.items:
-        need = 2 * len(row[1])  # survivors of each column fit in ma + mb
-        out = (_zeros("q", need * k), _zeros("q", need), _zeros("Q", need * nw), _zeros("q", W + 2))
-        pos, comps, mc = kernel(*row, k, nw, item.weight, item.level, rank[item.id], *out)
+        row, comps, mc = kernel(row, k, nw, item.weight, item.level, rank[item.id])
         stats.comparisons += comps
         stats.max_cell = max(stats.max_cell, mc)
-        S_o, w_o, M_o, _ = row = out
-        del S_o[pos * k :], w_o[pos:], M_o[pos * nw :]
         if keep_matrix:
             rows.append(row)
     labels = _cell_labels(row, W, ids)
@@ -166,12 +164,14 @@ def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
     return tuple(out)
 
 
-def _row_kernel_py(S, w, M, off, k, nw, wt, level, rank, S_o, w_o, M_o, off_o):
-    """Pure-Python twin of ``qknap_row_kernel`` in ``_rowkernel.c``.
+def _row_kernel_py(row, k, nw, wt, level, rank):
+    """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
-    Same arguments, same writes and same ``(pos, comparisons, max_cell)``;
-    the C file documents the layout and the tie rule.
+    Same arguments and results as the C kernel's wrapper: ``(next_row,
+    comparisons, max_cell)``. The C file documents the layout and the
+    tie rule.
     """
+    S, w, M, off = row
     word, bit = rank // 64, 1 << (63 - rank % 64)
     S = [S[i : i + k].tolist() for i in range(0, len(S), k)]
     M = [M[i : i + nw].tolist() for i in range(0, len(M), nw)]
@@ -220,11 +220,8 @@ def _row_kernel_py(S, w, M, off, k, nw, wt, level, rank, S_o, w_o, M_o, off_o):
         if m > max_cell and not (m == 1 and w_out[offs[x]] == 0):
             max_cell = m
     offs.append(pos)
-    S_o[: pos * k] = array("q", S_out)
-    w_o[:pos] = array("q", w_out)
-    M_o[: pos * nw] = array("Q", M_out)
-    off_o[:] = array("q", offs)
-    return pos, comparisons, max_cell
+    nxt = (array("q", S_out), array("q", w_out), array("Q", M_out), array("q", offs))
+    return nxt, comparisons, max_cell
 
 
 # --------------------------------------------------------------------------
@@ -236,19 +233,15 @@ def _compiler() -> list[str]:
     return shlex.split(os.environ.get("CC", "")) or ["cc"]
 
 
+@functools.cache
 def _load_row_kernel():
-    """The compiled C row kernel, built on first use; None if it cannot be had.
+    """``(kernel, reason)``: the C row kernel, compiled on first use.
 
-    ``_row_kernel_reason`` then names the shared object that loaded, or
-    why none did. Without it every solve runs ``_row_kernel_py``.
+    ``kernel`` is None when it cannot be had, and every solve then runs
+    ``_row_kernel_py``; ``reason`` names the shared object that loaded,
+    or why none did. ``_load_row_kernel.cache_clear()`` makes the next
+    call try again.
     """
-    global _row_kernel, _row_kernel_reason
-    if _row_kernel is _UNSET:
-        _row_kernel, _row_kernel_reason = _build_row_kernel()
-    return _row_kernel
-
-
-def _build_row_kernel():
     # Imported here so that solves below the kernel threshold never pay for them.
     import ctypes
     import hashlib
@@ -291,32 +284,35 @@ def _build_row_kernel():
     fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 5
     fn.restype = ctypes.c_int
 
-    def kernel(S, w, M, off, k, nw, wt, level, rank, S_o, w_o, M_o, off_o):
+    def kernel(row, k, nw, wt, level, rank):
         # The C side reads and writes through bare pointers, unchecked: m labels
         # of k sums and nw words in, up to m kept and m extended labels out.
-        bufs = (S, w, M, off, S_o, w_o, M_o, off_o)
+        S, w, M, off = row
         m = len(w)
         if not (
-            all(isinstance(b, array) for b in bufs)
-            and "".join(b.typecode for b in bufs) == "qqQqqqQq"
+            all(isinstance(b, array) for b in row)
+            and "".join(b.typecode for b in row) == "qqQq"
             and k >= 1
-            and wt >= 1
+            and 1 <= wt < 1 << 63  # ctypes would wrap a larger one to a negative int64
             and len(S) == m * k
             and len(M) == m * nw
             and len(off) >= 2
             and off[0] == 0
             and off[-1] == m
-            and len(S_o) >= 2 * m * k
-            and len(w_o) >= 2 * m
-            and len(M_o) >= 2 * m * nw
-            and len(off_o) == len(off)
             and 0 <= rank < 64 * nw
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        out = array("q", [0, 0, 0])
-        addr = [b.buffer_info()[0] for b in bufs]
-        if fn(*addr[:4], len(off) - 1, k, nw, wt, level, rank, *addr[4:], out.buffer_info()[0]) != 0:
+        nxt = _zeros("q", 2 * m * k), _zeros("q", 2 * m), _zeros("Q", 2 * m * nw), _zeros("q", len(off))
+        out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
+        addr = [b.buffer_info()[0] for b in (*row, *nxt, out)]
+        rc = fn(*addr[:4], len(off) - 1, k, nw, wt, level, rank, *addr[4:])
+        if rc == -2:
+            raise ValueError("row kernel buffers do not fit the row")  # off decreases
+        if rc != 0:
             raise MemoryError("row kernel could not allocate its scratch space")
-        return tuple(out)  # pos, comparisons, max_cell
+        pos, comparisons, max_cell = out
+        S_o, w_o, M_o, _ = nxt
+        del S_o[pos * k :], w_o[pos:], M_o[pos * nw :]
+        return nxt, comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"

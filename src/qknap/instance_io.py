@@ -153,6 +153,8 @@ def parse_instance(text: str) -> Instance:
     capacity = int_value(lineno, toks)
     count_line, toks = take(3, "items")
     n = int_value(count_line, toks)
+    if n < 0:
+        raise ParseError(count_line, f"item count must be >= 0, got {n}")
 
     item_fields = fields[4:]
     if len(item_fields) != n:

@@ -38,17 +38,8 @@ def enumerate_feasible(inst: Instance, force: bool = False) -> Iterator[Subset]:
     """
     validate_instance(inst)
     _check_guard(inst, force)
-    items = inst.items
-    n = len(items)
-    for mask in range(1 << n):
-        weight = 0
-        m = mask
-        while m:
-            low = m & -m
-            weight += items[low.bit_length() - 1].weight
-            m ^= low
-        if weight <= inst.capacity:
-            yield frozenset(items[j].id for j in range(n) if mask >> j & 1)
+    yield frozenset()
+    yield from (frozenset(lab.items) for lab in _feasible_labels(inst))
 
 
 def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
@@ -62,13 +53,17 @@ def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
     validate_instance(inst)
     _check_guard(inst, force)
     t0 = time.perf_counter()
+    frontier = pareto_filter(_feasible_labels(inst))
+    stats = SolveStats(wall_time=time.perf_counter() - t0, backend="oracle")
+    return FrontierResult(labels=tuple(frontier), stats=stats)
+
+
+def _feasible_labels(inst: Instance) -> Iterator[Label]:
+    """A label per nonempty feasible subset, in ascending bitmask order."""
     items = inst.items
-    n = len(items)
-    k = inst.k
-    best: dict[tuple[int, ...], Label] = {}
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << len(items)):
         weight = 0
-        counts = [0] * k
+        counts = [0] * inst.k
         ids = []
         m = mask
         while m:
@@ -78,14 +73,5 @@ def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
             counts[item.level - 1] += 1
             ids.append(item.id)
             m ^= low
-        if weight > inst.capacity:
-            continue
-        vec = tuple(counts)
-        cand = Label(vector=vec, weight=weight, items=tuple(sorted(ids)))
-        cur = best.get(vec)
-        if cur is None or (cand.weight, cand.items) < (cur.weight, cur.items):
-            best[vec] = cand
-    deduped = list(best.values())
-    frontier = pareto_filter(deduped)
-    stats = SolveStats(wall_time=time.perf_counter() - t0, backend="oracle")
-    return FrontierResult(labels=tuple(frontier), stats=stats)
+        if weight <= inst.capacity:
+            yield Label(vector=tuple(counts), weight=weight, items=tuple(sorted(ids)))

@@ -152,7 +152,8 @@ def test_criterion_9_scale_smoke():
     base = dict(n=200, k=3, weight_max=50, seed=1)
     small = generate_instance(GeneratorParams(n=60, k=3, weight_max=20, seed=2, capacity=400))
     solve(small)  # build or load the C row kernel outside the timed region
-    assert qknap.dp._load_row_kernel() is not None, qknap.dp._row_kernel_reason
+    kernel, reason = qknap.dp._load_row_kernel()
+    assert kernel is not None, reason
     times = {}
     for cap in (2000, 4000):
         inst = generate_instance(GeneratorParams(**base, capacity=cap))

@@ -44,6 +44,14 @@ def test_solve_malformed_file(tmp_path):
     assert "line 5" in proc.stderr and "item count mismatch" in proc.stderr
 
 
+def test_solve_refuses_a_negative_item_count(tmp_path):
+    bad = tmp_path / "bad.qknap"
+    bad.write_text("qknap 1\nlevels 1\ncapacity 3\nitems -1\n")
+    proc = run_cli("solve", bad)
+    assert proc.returncode == 2
+    assert "line 4" in proc.stderr and "item count must be >= 0" in proc.stderr
+
+
 def test_solve_refuses_a_weight_beyond_int64(data_dir):
     # item 1 weighs 2**64 + 1; summed in int64 it would pass for weight 1
     for command in ("solve", "enumerate"):

@@ -249,7 +249,8 @@ needs_cc = pytest.mark.skipif(
 @needs_cc
 @pytest.mark.parametrize("params", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
 def test_c_and_python_kernels_agree(params, monkeypatch):
-    assert qknap.dp._load_row_kernel() is not None, qknap.dp._row_kernel_reason
+    kernel, reason = qknap.dp._load_row_kernel()
+    assert kernel is not None, reason
     inst = _path_instance(params)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
     ref = solve(inst)
@@ -288,48 +289,70 @@ def _kernel_args():
         wt=1,
         level=1,
         rank=0,
-        S_o=array("q", [0]) * 16,
-        w_o=array("q", [0]) * 8,
-        M_o=array("Q", [0]) * 8,
-        off_o=array("q", [-1]) * 5,
     )
+
+
+def _run_kernel(kernel, S, w, M, off, **scalars):
+    return kernel((S, w, M, off), **scalars)
 
 
 @needs_cc
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(S_o=array("q", [0]) * 15),
-        dict(M_o=array("Q", [0]) * 7),
+        dict(S=array("q", [0]) * 7),
+        dict(M=array("Q", [0]) * 3),
         dict(S=array("d", [0]) * 8),
         dict(rank=64),
+        dict(wt=2**64 - 1),  # ctypes passes it to C as -1
+        # passes every check of the wrapper; C must refuse it before it writes
+        dict(
+            S=array("q", [0]) * 6,
+            w=array("q", [0]) * 3,
+            M=array("Q", [0]) * 3,
+            off=array("q", [0, 3, 1, 3]),
+        ),
     ],
-    ids=["short-S_o", "short-M_o", "double-S", "rank-beyond-nw-words"],
+    ids=[
+        "short-S",
+        "short-M",
+        "double-S",
+        "rank-beyond-nw-words",
+        "weight-beyond-int64",
+        "non-monotonic-off",
+    ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
-    # the C side writes through bare pointers, so the wrapper must refuse first
-    kernel = qknap.dp._load_row_kernel()
-    assert kernel is not None, qknap.dp._row_kernel_reason
-    args = _kernel_args()
-    assert kernel(**args) == (4, 3, 1) and list(args["off_o"]) == [0, 1, 2, 3, 4]
-    args = {**_kernel_args(), **bad}
+    # the C side reads and writes through bare pointers, so bad buffers must be
+    # refused before it touches them
+    kernel, reason = qknap.dp._load_row_kernel()
+    assert kernel is not None, reason
+    row, comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
+    # the item (weight 1, level 1) dominates the empty subset in every column x >= 1
+    S, w, M, off = map(list, row)
+    assert (S, w, off) == ([0, 0] + [1, 0] * 3, [0, 1, 1, 1], [0, 1, 2, 3, 4])
+    assert M == [0] + [1 << 63] * 3
+    assert (comparisons, max_cell) == (3, 1)
     with pytest.raises(ValueError, match="do not fit"):
-        kernel(**args)
-    assert set(args["off_o"]) == {-1}  # no C code ran
+        _run_kernel(kernel, **{**_kernel_args(), **bad})
 
 
 def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
     monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(qknap.dp, "_row_kernel", qknap.dp._UNSET)
-    monkeypatch.setattr(qknap.dp, "_row_kernel_reason", "not loaded yet")
-    assert qknap.dp._load_row_kernel() is None
-    assert "no-such-cc" in qknap.dp._row_kernel_reason
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
-    inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
-    res = solve(inst)
-    assert res.stats.backend == "python"
-    assert res.labels == enumerate_frontier(inst).labels
+    qknap.dp._load_row_kernel.cache_clear()
+    try:
+        kernel, reason = qknap.dp._load_row_kernel()
+        assert kernel is None
+        assert "no-such-cc" in reason
+        inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
+        res = solve(inst)
+        assert res.stats.backend == "python"
+        assert res.labels == enumerate_frontier(inst).labels
+    finally:
+        # the next call loads the kernel again, in the restored environment
+        qknap.dp._load_row_kernel.cache_clear()
 
 
 def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):

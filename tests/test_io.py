@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import instances
 from qknap import (
     GeneratorParams,
     Instance,
+    InvalidInstanceError,
     Item,
     ParseError,
     SplitMix64,
@@ -55,6 +57,8 @@ def test_parse_ignores_comments_and_blanks(table1):
         ("qknap 1\nlevels 1\ncapacity 9\nitems 1\n1 1 1\n2 1 1\n", 6, "item count mismatch"),
         ("qknap 1\nlevels 1\ncapacity 0\nitems 1\n1 1\n", 5, "item line needs"),
         ("qknap 1\nlevels 1\ncapacity 0\nitems 1\n1 one 1\n", 5, "must be integers"),
+        ("qknap 1\nlevels 1\ncapacity 0\nitems -1\n", 4, "item count must be >= 0"),
+        ("qknap 1\nlevels 1\ncapacity 0\nitems -2\n1 1 1\n", 4, "item count must be >= 0"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, message):
@@ -63,9 +67,35 @@ def test_parse_errors_carry_line_numbers(text, line, message):
     assert f"line {line}:" in str(info.value)
 
 
-def test_parse_validates_invariants():
-    from qknap import InvalidInstanceError
+_KEYWORDS = ("qknap", "levels", "capacity", "items")
+_SMALL = st.sampled_from([str(v) for v in range(-2, 4)])
 
+
+def _keyword_line(keyword):
+    return st.tuples(st.just(keyword), _SMALL).map(" ".join)
+
+
+_LINE = st.one_of(
+    st.sampled_from(_KEYWORDS).flatmap(_keyword_line),
+    st.tuples(_SMALL, _SMALL, _SMALL).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500)
+@given(
+    # half the headers are the four keywords in order, so counts and item lines get parsed
+    st.tuples(*map(_keyword_line, _KEYWORDS)) | st.tuples(*[_LINE] * 4),
+    st.lists(_LINE, max_size=8),
+)
+def test_parse_raises_only_parse_errors(header, lines):
+    try:
+        parse_instance("\n".join((*header, *lines)))
+    except (ParseError, InvalidInstanceError):
+        pass
+
+
+def test_parse_validates_invariants():
     text = "qknap 1\nlevels 2\ncapacity 5\nitems 1\n1 1 3\n"
     with pytest.raises(InvalidInstanceError, match="level out of range"):
         parse_instance(text)
