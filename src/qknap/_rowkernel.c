@@ -2,21 +2,21 @@
  *
  * Compiled on first use by qknap.dp and called through ctypes; the
  * pure-Python twin qknap.dp._row_kernel_py follows it step for step.
- * Every array is C-contiguous: S, w and off int64, M uint64. A row's
- * labels are packed: rows off[x]..off[x+1]-1 of S (k suffix sums each),
- * w and M (nw words each) belong to capacity x. The kernel merges each
- * column x >= wt with column x - wt extended by the item (wt, level,
- * rank) and writes the surviving labels, A side first, to S_o, w_o,
- * M_o, off_o.
+ * A row is two C-contiguous arrays: L of uint64 and off of int64. L
+ * holds one record of R = k + 1 + nw words per label: the k suffix
+ * sums, the weight, then the nw witness words. Records off[x]..off[x+1]-1
+ * belong to capacity x. The kernel merges each column x >= wt with
+ * column x - wt extended by the item (wt, level, rank) and writes the
+ * surviving records, A side first, to L_o and their offsets to off_o.
  *
- * M holds each label's witness as a bit set over the items ranked by
- * ascending id: rank r is bit 63 - r % 64 of word r / 64. An A label and
- * an extended B label that tie in vector and weight have witnesses of
- * the same size, and the one with the smaller sorted id tuple holds the
+ * The witness words hold a bit set over the items ranked by ascending
+ * id: rank r is bit 63 - r % 64 of word r / 64. An A label and an
+ * extended B label that tie in vector and weight have witnesses of the
+ * same size, and the one with the smaller sorted id tuple holds the
  * least id of their symmetric difference, so its words compare larger
  * as unsigned integers, word 0 first. This holds in any item order.
  *
- * On return out holds pos (labels written), the dominance comparisons
+ * On return out holds pos (records written), the dominance comparisons
  * made and the largest nonzero cell. Returns 0, -1 if scratch memory
  * could not be allocated, or -2, before any allocation or write, if the
  * offsets decrease somewhere.
@@ -37,12 +37,11 @@ static int wins_tie(const uint64_t *a, const uint64_t *b, int64_t nw,
     return 0;
 }
 
-int qknap_row_kernel(const int64_t *S, const int64_t *w, const uint64_t *M,
-                     const int64_t *off, int64_t W1, int64_t k, int64_t nw,
-                     int64_t wt, int64_t level, int64_t rank, int64_t *S_o,
-                     int64_t *w_o, uint64_t *M_o, int64_t *off_o, int64_t *out)
+int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
+                     int64_t k, int64_t nw, int64_t wt, int64_t level,
+                     int64_t rank, uint64_t *L_o, int64_t *off_o, int64_t *out)
 {
-    int64_t pos = 0, comparisons = 0, max_cell = 0, widest = 1;
+    int64_t R = k + 1 + nw, pos = 0, comparisons = 0, max_cell = 0, widest = 1;
     int64_t word = rank / 64;
     uint64_t bit = (uint64_t)1 << (63 - rank % 64);
     for (int64_t x = 0; x < W1; x++) {
@@ -69,13 +68,13 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const uint64_t *M,
         memset(kill_a, 0, ma);
         memset(kill_b, 0, mb);
         for (int64_t ai = 0; ai < ma; ai++) {
-            const int64_t *sa = S + (a0 + ai) * k;
+            const uint64_t *a = L + (a0 + ai) * R;
             for (int64_t bi = 0; bi < mb; bi++) {
-                const int64_t *sb = S + (b0 + bi) * k;
+                const uint64_t *b = L + (b0 + bi) * R;
                 int ge_ba = 1, ge_ab = 1;
                 for (int64_t j = 0; j < k; j++) {
-                    int64_t av = sa[j];
-                    int64_t bv = sb[j] + (j < level ? 1 : 0);
+                    uint64_t av = a[j];
+                    uint64_t bv = b[j] + (j < level ? 1 : 0);
                     if (bv < av) {
                         ge_ba = 0;
                         if (!ge_ab)
@@ -89,9 +88,8 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const uint64_t *M,
                 }
                 if (ge_ba && ge_ab) {
                     /* equal vectors: the lighter witness, then the smaller id tuple */
-                    int64_t wa = w[a0 + ai], wb = w[b0 + bi] + wt;
-                    if (wa < wb || (wa == wb && wins_tie(M + (a0 + ai) * nw,
-                                                         M + (b0 + bi) * nw,
+                    uint64_t wa = a[k], wb = b[k] + wt;
+                    if (wa < wb || (wa == wb && wins_tie(a + k + 1, b + k + 1,
                                                          nw, word, bit)))
                         kill_b[bi] = 1;
                     else
@@ -103,27 +101,21 @@ int qknap_row_kernel(const int64_t *S, const int64_t *w, const uint64_t *M,
                 }
             }
         }
-        for (int64_t ai = 0; ai < ma; ai++) {
-            if (!kill_a[ai]) {
-                memcpy(S_o + pos * k, S + (a0 + ai) * k, k * sizeof(int64_t));
-                w_o[pos] = w[a0 + ai];
-                memcpy(M_o + pos * nw, M + (a0 + ai) * nw, nw * sizeof(uint64_t));
-                pos++;
-            }
-        }
+        for (int64_t ai = 0; ai < ma; ai++)
+            if (!kill_a[ai])
+                memcpy(L_o + pos++ * R, L + (a0 + ai) * R, R * sizeof(uint64_t));
         for (int64_t bi = 0; bi < mb; bi++) {
             if (!kill_b[bi]) {
-                const int64_t *sb = S + (b0 + bi) * k;
-                for (int64_t j = 0; j < k; j++)
-                    S_o[pos * k + j] = sb[j] + (j < level ? 1 : 0);
-                w_o[pos] = w[b0 + bi] + wt;
-                memcpy(M_o + pos * nw, M + (b0 + bi) * nw, nw * sizeof(uint64_t));
-                M_o[pos * nw + word] |= bit;
-                pos++;
+                uint64_t *e = L_o + pos++ * R;
+                memcpy(e, L + (b0 + bi) * R, R * sizeof(uint64_t));
+                for (int64_t j = 0; j < k && j < level; j++)
+                    e[j]++;
+                e[k] += wt;
+                e[k + 1 + word] |= bit;
             }
         }
         int64_t m = pos - off_o[x];
-        if (m > max_cell && !(m == 1 && w_o[off_o[x]] == 0))
+        if (m > max_cell && !(m == 1 && L_o[off_o[x] * R + k] == 0))
             max_cell = m;
     }
     off_o[W1] = pos;

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -64,18 +65,12 @@ def _frontier_json(result) -> dict:
             {"vector": list(lab.vector), "weight": lab.weight, "items": list(lab.items)}
             for lab in result.labels
         ],
-        "stats": {
-            "labels": len(result.labels),
-            "cells": result.stats.cells,
-            "max_cell": result.stats.max_cell,
-            "comparisons": result.stats.comparisons,
-            "wall_time": result.stats.wall_time,
-            "backend": result.stats.backend,
-        },
+        "stats": {"labels": len(result.labels), **dataclasses.asdict(result.stats)},
     }
 
 
-def _print_frontier(result, as_json: bool, matrix=None) -> None:
+def _print_frontier(result, as_json: bool) -> None:
+    matrix = result.matrix
     if as_json:
         doc = _frontier_json(result)
         if matrix is not None:
@@ -98,7 +93,7 @@ def _cmd_solve(args) -> int:
 
     inst = _load_instance(args.instance)
     result = solve(inst, keep_matrix=args.matrix)
-    _print_frontier(result, args.json, result.matrix if args.matrix else None)
+    _print_frontier(result, args.json)
     return EXIT_OK
 
 
@@ -184,6 +179,13 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _ratio(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid ratio '{text}'") from None
+
+
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
@@ -249,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--capacity", type=int)
-    p.add_argument("--ratio", type=Fraction, help="capacity = ceil(ratio * total weight)")
+    p.add_argument("--ratio", type=_ratio, help="capacity = ceil(ratio * total weight)")
     p.add_argument("--wmax", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_gen)
@@ -265,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     p.add_argument("--k", type=_int_list, required=True)
     p.add_argument("--capacity", type=_int_list)
-    p.add_argument("--ratio", type=lambda s: [Fraction(t) for t in s.split(",")])
+    p.add_argument("--ratio", type=lambda s: [_ratio(t) for t in s.split(",")])
     p.add_argument("--wmax", type=_int_list, required=True)
     p.add_argument("--seeds", type=int, required=True, help="use seeds 1..N")
     p.set_defaults(func=_cmd_bench)

@@ -10,18 +10,17 @@ vectors are collapsed to the lighter witness, then to the
 lexicographically smallest id tuple. Reported cells never include the
 empty selection's all-zero label.
 
-A row lives in four flat stdlib ``array`` buffers: S, w and off of
-int64 (typecode "q"), M of uint64 ("Q"). Label i of a row holds the k
-suffix sums S[i*k:(i+1)*k], the weight w[i] and the witness words
-M[i*nw:(i+1)*nw]; labels off[x]:off[x+1] belong to capacity x. Suffix
-sums make dominance a plain componentwise comparison. M holds each
-witness as a bit set of nw = ceil(n/64) words over the items ranked by
-ascending id: rank r is bit 63 - r % 64 of word r // 64. Equal-vector,
-equal-weight witnesses have the same size, and the one with the smaller
-sorted id tuple holds the least id of their symmetric difference, so
-its words compare larger as unsigned integers, word 0 first. That
-settles every tie in O(n/64), whatever the order in which items are
-swept.
+A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
+uint64) holds one record of k + 1 + nw words per label: the k suffix
+sums, the weight, then the nw = ceil(n/64) witness words. Records
+off[x]:off[x+1] (off of typecode "q") belong to capacity x. Suffix sums
+make dominance a plain componentwise comparison. The witness words hold
+a bit set over the items ranked by ascending id: rank r is bit
+63 - r % 64 of word r // 64. Equal-vector, equal-weight witnesses have
+the same size, and the one with the smaller sorted id tuple holds the
+least id of their symmetric difference, so its words compare larger as
+unsigned integers, word 0 first. That settles every tie in O(n/64),
+whatever the order in which items are swept.
 
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
@@ -38,9 +37,9 @@ Both kernels take a row and one item and return the next row: one row
 in, one row out. The C kernel gets the buffers' addresses as bare
 pointers, so its ctypes wrapper allocates the next row itself, room for
 two labels for every input label, and trims it to what C wrote. It
-checks first what C cannot: that each input buffer is an ``array`` of
-the right typecode, that the row's lengths agree with k, nw and off,
-and that the item's rank falls inside nw words. Otherwise it raises
+checks first what C cannot: that L and off are ``array``s of typecodes
+"Q" and "q", that L holds off[-1] records of k + 1 + nw words, and that
+the item's rank falls inside nw words. Otherwise it raises
 ValueError before any C code runs; C itself refuses offsets that
 decrease, before it allocates or writes anything.
 """
@@ -112,12 +111,7 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     rank = {iid: r for r, iid in enumerate(ids)}
     nw = -(-n // 64)
     # row 0: the all-zero label (empty subset) in every column
-    row = (
-        _zeros("q", (W + 1) * k),
-        _zeros("q", W + 1),
-        _zeros("Q", (W + 1) * nw),
-        array("q", range(W + 2)),
-    )
+    row = _zeros("Q", (W + 1) * (k + 1 + nw)), array("q", range(W + 2))
     rows = [row]
     for item in inst.items:
         row, comps, mc = kernel(row, k, nw, item.weight, item.level, rank[item.id])
@@ -125,10 +119,10 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         stats.max_cell = max(stats.max_cell, mc)
         if keep_matrix:
             rows.append(row)
-    labels = _cell_labels(row, W, ids)
+    labels = _cell_labels(row, W, k, ids)
     matrix = None
     if keep_matrix:
-        cells = (tuple(_cell_labels(r, x, ids) for x in range(W + 1)) for r in rows)
+        cells = (tuple(_cell_labels(r, x, k, ids) for x in range(W + 1)) for r in rows)
         matrix = LabelMatrix(tuple(cells))
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
@@ -138,28 +132,27 @@ def _zeros(typecode: str, size: int) -> array:
     return array(typecode, [0]) * size
 
 
-def _cell_labels(row, x: int, ids: list[int]) -> tuple[Label, ...]:
+def _cell_labels(row, x: int, k: int, ids: list[int]) -> tuple[Label, ...]:
     """Reported view of column x of a row: zero label stripped, canonical order.
 
     ``ids`` lists the item ids in rank order, which is ascending, so each
     witness comes out sorted.
     """
-    S, w, M, off = row
-    k, nw = len(S) // len(w), len(M) // len(w)  # every column holds at least the zero label
+    L, off = row
+    R = len(L) // off[-1]  # every column holds at least the zero label
     out = []
     for i in range(off[x], off[x + 1]):
-        weight = w[i]
-        if weight == 0:
+        rec = L[i * R : i * R + R]
+        if rec[k] == 0:
             continue
-        s, words = S[i * k : i * k + k], M[i * nw : i * nw + nw]
         items = []
-        for q, word in enumerate(words):
+        for q, word in enumerate(rec[k + 1 :]):
             while word:
                 top = word.bit_length() - 1
                 items.append(ids[64 * q + 63 - top])
                 word ^= 1 << top
-        vector = tuple(s[j] - s[j + 1] for j in range(len(s) - 1)) + (s[-1],)
-        out.append(Label(vector=vector, weight=weight, items=tuple(items)))
+        vector = tuple(rec[j] - rec[j + 1] for j in range(k - 1)) + (rec[k - 1],)
+        out.append(Label(vector=vector, weight=rec[k], items=tuple(items)))
     out.sort(key=canonical_key)
     return tuple(out)
 
@@ -171,32 +164,32 @@ def _row_kernel_py(row, k, nw, wt, level, rank):
     comparisons, max_cell)``. The C file documents the layout and the
     tie rule.
     """
-    S, w, M, off = row
-    word, bit = rank // 64, 1 << (63 - rank % 64)
-    S = [S[i : i + k].tolist() for i in range(0, len(S), k)]
-    M = [M[i : i + nw].tolist() for i in range(0, len(M), nw)]
-    w, off = w.tolist(), off.tolist()
-    pos = comparisons = max_cell = 0
-    S_out, w_out, M_out, offs = [], [], [], []
+    L, off = row
+    R = k + 1 + nw
+    word, bit = k + 1 + rank // 64, 1 << (63 - rank % 64)
+    recs = [L[i : i + R].tolist() for i in range(0, len(L), R)]
+    off = off.tolist()
+    comparisons = max_cell = 0
+    L_out, offs = array("Q"), array("q")
     for x in range(len(off) - 1):
-        offs.append(pos)
-        a0, ma, b0, mb = off[x], off[x + 1] - off[x], 0, 0
-        if x >= wt:  # else the item does not fit and the cell carries over
-            b0, mb = off[x - wt], off[x - wt + 1] - off[x - wt]
-        comparisons += ma * mb
-        kill_a = [False] * ma
-        kill_b = [False] * mb
-        ext = [[v + 1 if j < level else v for j, v in enumerate(S[b])] for b in range(b0, b0 + mb)]
-        ext_M = [M[b][:word] + [M[b][word] | bit] + M[b][word + 1 :] for b in range(b0, b0 + mb)]
-        for ai in range(ma):
-            sa = S[a0 + ai]
-            for bi in range(mb):
-                sb = ext[bi]
+        offs.append(len(L_out) // R)
+        A = recs[off[x] : off[x + 1]]
+        B = recs[off[x - wt] : off[x - wt + 1]] if x >= wt else []  # else the cell carries over
+        comparisons += len(A) * len(B)
+        ext = [[v + (j < level) for j, v in enumerate(b[:k])] + [b[k] + wt] + b[k + 1 :] for b in B]
+        for e in ext:
+            e[word] |= bit
+        kill_a = [False] * len(A)
+        kill_b = [False] * len(B)
+        ext_sums = [e[:k] for e in ext]
+        for ai, a in enumerate(A):
+            sa = a[:k]
+            for bi, sb in enumerate(ext_sums):
                 if sa == sb:
                     # equal vectors: the lighter witness, then the smaller id tuple,
                     # whose word list compares larger
-                    wa, wb = w[a0 + ai], w[b0 + bi] + wt
-                    if wa < wb or (wa == wb and M[a0 + ai] > ext_M[bi]):
+                    e = ext[bi]
+                    if a[k] < e[k] or (a[k] == e[k] and a[k + 1 :] > e[k + 1 :]):
                         kill_b[bi] = True
                     else:
                         kill_a[ai] = True
@@ -204,24 +197,14 @@ def _row_kernel_py(row, k, nw, wt, level, rank):
                     kill_a[ai] = True
                 elif all(map(ge, sa, sb)):
                     kill_b[bi] = True
-        for ai in range(ma):
-            if not kill_a[ai]:
-                S_out += S[a0 + ai]
-                w_out.append(w[a0 + ai])
-                M_out += M[a0 + ai]
-                pos += 1
-        for bi in range(mb):
-            if not kill_b[bi]:
-                S_out += ext[bi]
-                w_out.append(w[b0 + bi] + wt)
-                M_out += ext_M[bi]
-                pos += 1
-        m = pos - offs[x]
-        if m > max_cell and not (m == 1 and w_out[offs[x]] == 0):
+        for rec, killed in zip(A + ext, kill_a + kill_b):
+            if not killed:
+                L_out.extend(rec)
+        m = len(L_out) // R - offs[x]
+        if m > max_cell and not (m == 1 and L_out[offs[x] * R + k] == 0):
             max_cell = m
-    offs.append(pos)
-    nxt = (array("q", S_out), array("q", w_out), array("Q", M_out), array("q", offs))
-    return nxt, comparisons, max_cell
+    offs.append(len(L_out) // R)
+    return (L_out, offs), comparisons, max_cell
 
 
 # --------------------------------------------------------------------------
@@ -281,38 +264,35 @@ def _load_row_kernel():
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
     except OSError as exc:
         return None, f"cannot load {lib}: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 5
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 3
     fn.restype = ctypes.c_int
 
     def kernel(row, k, nw, wt, level, rank):
-        # The C side reads and writes through bare pointers, unchecked: m labels
-        # of k sums and nw words in, up to m kept and m extended labels out.
-        S, w, M, off = row
-        m = len(w)
+        # The C side reads and writes through bare pointers, unchecked: off[-1]
+        # records of k + 1 + nw words in, up to that many kept and extended out.
+        L, off = row
+        R = k + 1 + nw
         if not (
             all(isinstance(b, array) for b in row)
-            and "".join(b.typecode for b in row) == "qqQq"
+            and L.typecode + off.typecode == "Qq"
             and k >= 1
             and 1 <= wt < 1 << 63  # ctypes would wrap a larger one to a negative int64
-            and len(S) == m * k
-            and len(M) == m * nw
             and len(off) >= 2
             and off[0] == 0
-            and off[-1] == m
+            and len(L) == off[-1] * R
             and 0 <= rank < 64 * nw
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        nxt = _zeros("q", 2 * m * k), _zeros("q", 2 * m), _zeros("Q", 2 * m * nw), _zeros("q", len(off))
+        L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off))
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
-        addr = [b.buffer_info()[0] for b in (*row, *nxt, out)]
-        rc = fn(*addr[:4], len(off) - 1, k, nw, wt, level, rank, *addr[4:])
+        addr = [b.buffer_info()[0] for b in (L, off, L_o, off_o, out)]
+        rc = fn(*addr[:2], len(off) - 1, k, nw, wt, level, rank, *addr[2:])
         if rc == -2:
             raise ValueError("row kernel buffers do not fit the row")  # off decreases
         if rc != 0:
             raise MemoryError("row kernel could not allocate its scratch space")
         pos, comparisons, max_cell = out
-        S_o, w_o, M_o, _ = nxt
-        del S_o[pos * k :], w_o[pos:], M_o[pos * nw :]
-        return nxt, comparisons, max_cell
+        del L_o[pos * R :]
+        return (L_o, off_o), comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"

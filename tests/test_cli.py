@@ -111,6 +111,9 @@ def test_gen_rejects_bad_params():
     assert both.returncode == 2
     ratio = run_cli("gen", "--n", 4, "--k", 2, "--ratio", "3/2", "--wmax", 4, "--seed", 1)
     assert ratio.returncode == 2
+    zero = run_cli("gen", "--n", 4, "--k", 2, "--ratio", "1/0", "--wmax", 4, "--seed", 1)
+    assert zero.returncode == 2
+    assert "Traceback" not in zero.stderr
 
 
 def test_gen_ratio_mode():
@@ -195,6 +198,11 @@ def test_bench_deterministic_except_wall_time():
 def test_bench_requires_capacity_or_ratio():
     proc = run_cli("bench", "--n", "4", "--k", "2", "--wmax", "3", "--seeds", 1)
     assert proc.returncode == 2
+    zero = run_cli(
+        "bench", "--n", "4", "--k", "2", "--ratio", "1/0", "--wmax", "3", "--seeds", 1
+    )
+    assert zero.returncode == 2
+    assert "Traceback" not in zero.stderr
 
 
 def test_bench_ratio_mode():

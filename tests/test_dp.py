@@ -278,11 +278,9 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 
 
 def _kernel_args():
-    """Arguments that fit: row 0 of a solve with k=2, nw=1, W=3 (m=4 labels)."""
+    """Arguments that fit: row 0 of a solve with k=2, nw=1, W=3 (4 records of 4 words)."""
     return dict(
-        S=array("q", [0]) * 8,
-        w=array("q", [0]) * 4,
-        M=array("Q", [0]) * 4,
+        L=array("Q", [0]) * 16,
         off=array("q", range(5)),
         k=2,
         nw=1,
@@ -292,31 +290,26 @@ def _kernel_args():
     )
 
 
-def _run_kernel(kernel, S, w, M, off, **scalars):
-    return kernel((S, w, M, off), **scalars)
+def _run_kernel(kernel, L, off, **scalars):
+    return kernel((L, off), **scalars)
 
 
 @needs_cc
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(S=array("q", [0]) * 7),
-        dict(M=array("Q", [0]) * 3),
-        dict(S=array("d", [0]) * 8),
+        dict(L=array("Q", [0]) * 15),
+        dict(L=array("q", [0]) * 16),
+        dict(off=array("q", [0, 1, 2, 3, 3])),
         dict(rank=64),
         dict(wt=2**64 - 1),  # ctypes passes it to C as -1
         # passes every check of the wrapper; C must refuse it before it writes
-        dict(
-            S=array("q", [0]) * 6,
-            w=array("q", [0]) * 3,
-            M=array("Q", [0]) * 3,
-            off=array("q", [0, 3, 1, 3]),
-        ),
+        dict(L=array("Q", [0]) * 12, off=array("q", [0, 3, 1, 3])),
     ],
     ids=[
-        "short-S",
-        "short-M",
-        "double-S",
+        "short-L",
+        "signed-L",
+        "off-ends-short",
         "rank-beyond-nw-words",
         "weight-beyond-int64",
         "non-monotonic-off",
@@ -327,12 +320,13 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # refused before it touches them
     kernel, reason = qknap.dp._load_row_kernel()
     assert kernel is not None, reason
-    row, comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
+    (L, off), comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
     # the item (weight 1, level 1) dominates the empty subset in every column x >= 1
-    S, w, M, off = map(list, row)
-    assert (S, w, off) == ([0, 0] + [1, 0] * 3, [0, 1, 1, 1], [0, 1, 2, 3, 4])
-    assert M == [0] + [1 << 63] * 3
+    assert list(L) == [0, 0, 0, 0] + [1, 0, 1, 1 << 63] * 3
+    assert list(off) == [0, 1, 2, 3, 4]
     assert (comparisons, max_cell) == (3, 1)
+    (L_py, off_py), *counts = _run_kernel(qknap.dp._row_kernel_py, **_kernel_args())
+    assert (L_py, off_py, *counts) == (L, off, comparisons, max_cell)
     with pytest.raises(ValueError, match="do not fit"):
         _run_kernel(kernel, **{**_kernel_args(), **bad})
 
