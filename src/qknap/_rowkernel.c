@@ -2,124 +2,96 @@
  *
  * Compiled on first use by qknap.dp and called through ctypes; the
  * pure-Python twin qknap.dp._row_kernel_py follows it step for step.
- * A row is two C-contiguous arrays: L of uint64 and off of int64. L
- * holds one record of R = k + 1 + nw words per label: the k suffix
- * sums, the weight, then the nw witness words. Records off[x]..off[x+1]-1
- * belong to capacity x. The kernel merges each column x >= wt with
- * column x - wt extended by the item (wt, level, rank) and writes the
- * surviving records, A side first, to L_o and their offsets to off_o.
+ * The qknap.dp docstring documents the row (L, off), its records of
+ * R = k + 1 + nw words and the witness bit sets.
  *
- * The witness words hold a bit set over the items ranked by ascending
- * id: rank r is bit 63 - r % 64 of word r / 64. An A label and an
- * extended B label that tie in vector and weight have witnesses of the
- * same size, and the one with the smaller sorted id tuple holds the
- * least id of their symmetric difference, so its words compare larger
- * as unsigned integers, word 0 first. This holds in any item order.
+ * Column x of the next row merges column x of L (the A labels) with
+ * column x - wt extended by the item (wt, level, rank) (the B labels;
+ * none when x < wt). The B records are copied once into L_o, behind
+ * room for the column's A records, and extended there: suffix sums
+ * 0..level-1 plus one, weight plus wt, the item's witness bit set.
+ * Each A record is then compared with each extended record as plain
+ * records. Equal vectors keep the lighter label, then the one whose
+ * witness words compare larger as unsigned integers, word 0 first,
+ * which is the smaller sorted id tuple. An A survivor is copied out
+ * as soon as its scan ends, and the B survivors move down behind the
+ * A survivors.
  *
  * On return out holds pos (records written), the dominance comparisons
  * made and the largest nonzero cell. Returns 0, -1 if scratch memory
- * could not be allocated, or -2, before any allocation or write, if the
- * offsets decrease somewhere.
+ * could not be allocated, or -2 if column x has not
+ * off[x] <= off[x + 1] <= off[W1], before it reads or writes outside
+ * L or the 2 * off[W1] records of L_o.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Whether witness a has the smaller sorted id tuple than b plus the item. */
-static int wins_tie(const uint64_t *a, const uint64_t *b, int64_t nw,
-                    int64_t word, uint64_t bit)
-{
-    for (int64_t q = 0; q < nw; q++) {
-        uint64_t bq = b[q] | (q == word ? bit : 0);
-        if (a[q] != bq)
-            return a[q] > bq;
-    }
-    return 0;
-}
-
 int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
                      int64_t k, int64_t nw, int64_t wt, int64_t level,
                      int64_t rank, uint64_t *L_o, int64_t *off_o, int64_t *out)
 {
-    int64_t R = k + 1 + nw, pos = 0, comparisons = 0, max_cell = 0, widest = 1;
-    int64_t word = rank / 64;
+    int64_t R = k + 1 + nw, pos = 0, comparisons = 0, max_cell = 0;
+    int64_t word = k + 1 + rank / 64;
     uint64_t bit = (uint64_t)1 << (63 - rank % 64);
-    for (int64_t x = 0; x < W1; x++) {
-        if (off[x + 1] < off[x])
-            return -2;
-        if (off[x + 1] - off[x] > widest)
-            widest = off[x + 1] - off[x];
-    }
-    char *kill_a = malloc(widest);
-    char *kill_b = malloc(widest);
-    if (!kill_a || !kill_b) {
-        free(kill_a);
-        free(kill_b);
+    size_t size = R * sizeof(uint64_t);
+    char *kill_b = malloc(off[W1] + 1);
+    if (!kill_b)
         return -1;
-    }
     for (int64_t x = 0; x < W1; x++) {
+        if (off[x + 1] < off[x] || off[x + 1] > off[W1]) {
+            free(kill_b);
+            return -2;
+        }
         off_o[x] = pos;
-        int64_t a0 = off[x], ma = off[x + 1] - a0, b0 = 0, mb = 0;
+        int64_t ma = off[x + 1] - off[x], mb = 0;
+        const uint64_t *A = L + off[x] * R;
+        uint64_t *B = L_o + (pos + ma) * R; /* behind room for the A survivors */
         if (x >= wt) { /* else the item does not fit and the cell carries over */
-            b0 = off[x - wt];
-            mb = off[x - wt + 1] - b0;
+            mb = off[x - wt + 1] - off[x - wt];
+            memcpy(B, L + off[x - wt] * R, mb * size);
+        }
+        for (int64_t bi = 0; bi < mb; bi++) {
+            uint64_t *e = B + bi * R;
+            for (int64_t j = 0; j < k && j < level; j++)
+                e[j]++;
+            e[k] += wt;
+            e[word] |= bit;
+            kill_b[bi] = 0;
         }
         comparisons += ma * mb;
-        memset(kill_a, 0, ma);
-        memset(kill_b, 0, mb);
-        for (int64_t ai = 0; ai < ma; ai++) {
-            const uint64_t *a = L + (a0 + ai) * R;
+        for (const uint64_t *a = A; a < A + ma * R; a += R) {
+            int kill_a = 0;
             for (int64_t bi = 0; bi < mb; bi++) {
-                const uint64_t *b = L + (b0 + bi) * R;
+                const uint64_t *b = B + bi * R;
                 int ge_ba = 1, ge_ab = 1;
-                for (int64_t j = 0; j < k; j++) {
-                    uint64_t av = a[j];
-                    uint64_t bv = b[j] + (j < level ? 1 : 0);
-                    if (bv < av) {
-                        ge_ba = 0;
-                        if (!ge_ab)
-                            break;
-                    }
-                    if (av < bv) {
-                        ge_ab = 0;
-                        if (!ge_ba)
-                            break;
-                    }
+                for (int64_t j = 0; j < k && (ge_ba || ge_ab); j++) {
+                    ge_ba &= b[j] >= a[j];
+                    ge_ab &= a[j] >= b[j];
                 }
-                if (ge_ba && ge_ab) {
-                    /* equal vectors: the lighter witness, then the smaller id tuple */
-                    uint64_t wa = a[k], wb = b[k] + wt;
-                    if (wa < wb || (wa == wb && wins_tie(a + k + 1, b + k + 1,
-                                                         nw, word, bit)))
-                        kill_b[bi] = 1;
-                    else
-                        kill_a[ai] = 1;
-                } else if (ge_ba) {
-                    kill_a[ai] = 1;
-                } else if (ge_ab) {
+                if (ge_ba && ge_ab) { /* equal vectors: the lighter, then the larger words */
+                    int64_t q = k + 1;
+                    while (q < R - 1 && a[q] == b[q])
+                        q++;
+                    ge_ab = a[k] != b[k] ? a[k] < b[k] : a[q] > b[q];
+                    ge_ba = !ge_ab;
+                }
+                if (ge_ba)
+                    kill_a = 1;
+                else if (ge_ab)
                     kill_b[bi] = 1;
-                }
             }
+            if (!kill_a)
+                memcpy(L_o + pos++ * R, a, size);
         }
-        for (int64_t ai = 0; ai < ma; ai++)
-            if (!kill_a[ai])
-                memcpy(L_o + pos++ * R, L + (a0 + ai) * R, R * sizeof(uint64_t));
-        for (int64_t bi = 0; bi < mb; bi++) {
-            if (!kill_b[bi]) {
-                uint64_t *e = L_o + pos++ * R;
-                memcpy(e, L + (b0 + bi) * R, R * sizeof(uint64_t));
-                for (int64_t j = 0; j < k && j < level; j++)
-                    e[j]++;
-                e[k] += wt;
-                e[k + 1 + word] |= bit;
-            }
-        }
+        for (int64_t bi = 0; bi < mb; bi++)
+            if (!kill_b[bi])
+                memmove(L_o + pos++ * R, B + bi * R, size);
         int64_t m = pos - off_o[x];
         if (m > max_cell && !(m == 1 && L_o[off_o[x] * R + k] == 0))
             max_cell = m;
     }
     off_o[W1] = pos;
-    free(kill_a);
     free(kill_b);
     out[0] = pos;
     out[1] = comparisons;

@@ -121,17 +121,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        params = GeneratorParams(
-            n=args.n,
-            k=args.k,
-            weight_max=args.wmax,
-            seed=args.seed,
-            capacity=args.capacity,
-            ratio=args.ratio,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    params = GeneratorParams(
+        n=args.n,
+        k=args.k,
+        weight_max=args.wmax,
+        seed=args.seed,
+        capacity=args.capacity,
+        ratio=args.ratio,
+    )
     sys.stdout.write(serialize_instance(generate_instance(params)))
     return EXIT_OK
 

@@ -34,14 +34,16 @@ runs or the cache is not writable, take the Python twin.
 ``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row and one item and return the next row: one row
-in, one row out. The C kernel gets the buffers' addresses as bare
-pointers, so its ctypes wrapper allocates the next row itself, room for
-two labels for every input label, and trims it to what C wrote. It
-checks first what C cannot: that L and off are ``array``s of typecodes
-"Q" and "q", that L holds off[-1] records of k + 1 + nw words, and that
-the item's rank falls inside nw words. Otherwise it raises
-ValueError before any C code runs; C itself refuses offsets that
-decrease, before it allocates or writes anything.
+in, one row out. Per column they extend each label of column x - wt by
+the item once, then merge plain records, A (column x) first. The C
+kernel gets the buffers' addresses as bare pointers, so its ctypes
+wrapper allocates the next row itself, room for two labels for every
+input label, and trims it to what C wrote. It checks first what C
+cannot: that L and off are ``array``s of typecodes "Q" and "q", that L
+holds off[-1] records of k + 1 + nw words, and that the item's rank
+falls inside nw words, and raises ValueError before any C code runs if
+not. C checks each column's offsets when it reaches them and refuses
+(ValueError too) any that decrease or point past the row.
 """
 
 from __future__ import annotations
@@ -161,8 +163,7 @@ def _row_kernel_py(row, k, nw, wt, level, rank):
     """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
     Same arguments and results as the C kernel's wrapper: ``(next_row,
-    comparisons, max_cell)``. The C file documents the layout and the
-    tie rule.
+    comparisons, max_cell)``.
     """
     L, off = row
     R = k + 1 + nw
@@ -179,27 +180,26 @@ def _row_kernel_py(row, k, nw, wt, level, rank):
         ext = [[v + (j < level) for j, v in enumerate(b[:k])] + [b[k] + wt] + b[k + 1 :] for b in B]
         for e in ext:
             e[word] |= bit
-        kill_a = [False] * len(A)
-        kill_b = [False] * len(B)
+        kill_b = [False] * len(ext)
         ext_sums = [e[:k] for e in ext]
-        for ai, a in enumerate(A):
-            sa = a[:k]
+        for a in A:
+            sa, kill_a = a[:k], False
             for bi, sb in enumerate(ext_sums):
-                if sa == sb:
-                    # equal vectors: the lighter witness, then the smaller id tuple,
-                    # whose word list compares larger
+                if sa == sb:  # equal vectors: the lighter, then the larger witness words
                     e = ext[bi]
                     if a[k] < e[k] or (a[k] == e[k] and a[k + 1 :] > e[k + 1 :]):
                         kill_b[bi] = True
                     else:
-                        kill_a[ai] = True
+                        kill_a = True
                 elif all(map(ge, sb, sa)):
-                    kill_a[ai] = True
+                    kill_a = True
                 elif all(map(ge, sa, sb)):
                     kill_b[bi] = True
-        for rec, killed in zip(A + ext, kill_a + kill_b):
+            if not kill_a:
+                L_out.extend(a)
+        for e, killed in zip(ext, kill_b):
             if not killed:
-                L_out.extend(rec)
+                L_out.extend(e)
         m = len(L_out) // R - offs[x]
         if m > max_cell and not (m == 1 and L_out[offs[x] * R + k] == 0):
             max_cell = m

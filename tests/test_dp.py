@@ -81,8 +81,18 @@ def test_solve_table1_matrix_matches_expected_cells(table1):
 
 
 def test_solve_zero_capacity(table1):
-    inst = Instance(k=4, capacity=0, items=table1.items)
-    assert solve(inst).labels == ()
+    zero = Instance(k=4, capacity=0, items=table1.items)
+    # every item heavier than the capacity: each column keeps only the zero label
+    heavy = Instance(
+        k=4, capacity=2, items=tuple(replace(it, weight=it.weight + 2) for it in table1.items)
+    )
+    for min_cells in (1, 10**12):  # C kernel forced on, then off
+        with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
+            for inst in (zero, heavy):
+                res = solve(inst)
+                assert res.labels == ()
+                # the zero label is not reported, so it never counts toward a cell's size
+                assert res.stats.max_cell == 0, (min_cells, inst.capacity)
 
 
 def test_solve_empty_instance():
@@ -303,8 +313,10 @@ def _run_kernel(kernel, L, off, **scalars):
         dict(off=array("q", [0, 1, 2, 3, 3])),
         dict(rank=64),
         dict(wt=2**64 - 1),  # ctypes passes it to C as -1
-        # passes every check of the wrapper; C must refuse it before it writes
+        # these pass every check of the wrapper; C must refuse them before it
+        # reads or writes outside the row
         dict(L=array("Q", [0]) * 12, off=array("q", [0, 3, 1, 3])),
+        dict(L=array("Q", [0]) * 12, off=array("q", [0, 5, 3])),
     ],
     ids=[
         "short-L",
@@ -313,6 +325,7 @@ def _run_kernel(kernel, L, off, **scalars):
         "rank-beyond-nw-words",
         "weight-beyond-int64",
         "non-monotonic-off",
+        "off-beyond-the-row",
     ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
