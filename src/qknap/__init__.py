@@ -36,7 +36,6 @@ from .model import (
     InvalidInstanceError,
     Item,
     Label,
-    LabelMatrix,
     SolveStats,
     rank_cardinality_vector,
     total_weight,
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidInstanceError",
     "Item",
     "Label",
-    "LabelMatrix",
     "OracleGuardError",
     "ParseError",
     "SolveStats",

@@ -3,7 +3,9 @@
 Subcommands: solve (exact frontier), greedy (one efficient-ish
 solution), enumerate (brute-force oracle), gen (deterministic random
 instances), check (dominance verdict between two subsets), bench
-(CSV sweep). Results go to stdout, diagnostics to stderr.
+(CSV sweep). Results go to stdout, diagnostics to stderr. solve,
+enumerate and greedy write what ``qknap.instance_io`` formats; check and
+bench format their own reports.
 
 Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 3 enumeration guard tripped.
@@ -12,8 +14,6 @@ Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from fractions import Fraction
 
@@ -30,9 +30,11 @@ from .instance_io import (
     GeneratorParams,
     ParseError,
     format_vector,
+    frontier_json,
     generate_instance,
     parse_instance,
     serialize_frontier,
+    serialize_greedy,
     serialize_instance,
 )
 from .model import InvalidInstanceError, rank_cardinality_vector, total_weight
@@ -59,52 +61,19 @@ def _load_instance(path: str):
     return parse_instance(text)
 
 
-def _frontier_json(result) -> dict:
-    return {
-        "frontier": [
-            {"vector": list(lab.vector), "weight": lab.weight, "items": list(lab.items)}
-            for lab in result.labels
-        ],
-        "stats": {"labels": len(result.labels), **dataclasses.asdict(result.stats)},
-    }
-
-
-def _print_frontier(result, as_json: bool) -> None:
-    matrix = result.matrix
-    if as_json:
-        doc = _frontier_json(result)
-        if matrix is not None:
-            doc["matrix"] = [
-                [[list(lab.vector) for lab in cell] for cell in row]
-                for row in matrix.cells
-            ]
-        print(json.dumps(doc, indent=2))
-        return
-    sys.stdout.write(serialize_frontier(result))
-    if matrix is not None:
-        for i, row in enumerate(matrix.cells):
-            for x, cell in enumerate(row):
-                vecs = " ".join(format_vector(lab.vector) for lab in cell)
-                print(f"cell {i} {x}:{' ' + vecs if vecs else ''}")
-
-
 def _cmd_solve(args) -> int:
     from .dp import solve
 
     inst = _load_instance(args.instance)
     result = solve(inst, keep_matrix=args.matrix)
-    _print_frontier(result, args.json)
+    sys.stdout.write(frontier_json(result) if args.json else serialize_frontier(result))
     return EXIT_OK
 
 
 def _cmd_greedy(args) -> int:
     inst = _load_instance(args.instance)
     result = greedy_r(inst) if args.mode == "r" else greedy_w(inst)
-    ids = ",".join(str(i) for i in sorted(result.subset))
-    print(
-        f"items=[{ids}] vector={format_vector(result.vector)} "
-        f"weight={result.weight} guarantee={result.guarantee.value}"
-    )
+    sys.stdout.write(serialize_greedy(result))
     return EXIT_OK
 
 
@@ -116,7 +85,7 @@ def _cmd_enumerate(args) -> int:
         result = enumerate_frontier(inst, force=args.force)
     except OracleGuardError as exc:
         return _fail(str(exc), EXIT_GUARD)
-    _print_frontier(result, args.json)
+    sys.stdout.write(frontier_json(result) if args.json else serialize_frontier(result))
     return EXIT_OK
 
 

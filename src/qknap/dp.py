@@ -28,9 +28,10 @@ and its pure-Python twin ``_row_kernel_py``, which follows it step for
 step. The first solve of at least ``_KERNEL_MIN_CELLS`` cells compiles
 the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
 (else ``~/.cache/qknap``), under a name keyed by the source, the
-platform and the flags, and loads it through ctypes. Later processes
-load the cached file. Smaller solves, and every solve when no compiler
-runs or the cache is not writable, take the Python twin.
+platform, the compiler command and the flags, and loads it through
+ctypes. Later processes load the cached file. Smaller solves, and every
+solve when no compiler runs or the cache is not writable, take the
+Python twin.
 ``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row and one item and return the next row: one row
@@ -62,7 +63,6 @@ from .model import (
     FrontierResult,
     Instance,
     Label,
-    LabelMatrix,
     SolveStats,
     canonical_key,
     validate_instance,
@@ -124,8 +124,7 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     labels = _cell_labels(row, W, k, ids)
     matrix = None
     if keep_matrix:
-        cells = (tuple(_cell_labels(r, x, k, ids) for x in range(W + 1)) for r in rows)
-        matrix = LabelMatrix(tuple(cells))
+        matrix = tuple(tuple(_cell_labels(r, x, k, ids) for x in range(W + 1)) for r in rows)
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
@@ -237,11 +236,12 @@ def _load_row_kernel():
         text = source.read_bytes()
     except OSError as exc:
         return None, f"kernel source unreadable: {exc}"
-    key = "\0".join((sys.platform, platform.machine(), *_CFLAGS)).encode() + b"\0" + text
+    # A build for another compiler, such as a sanitizer's, must not be loaded.
+    cc = _compiler()
+    key = "\0".join((sys.platform, platform.machine(), *cc, *_CFLAGS)).encode() + b"\0" + text
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
     lib = cache / f"rowkernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
     if not lib.exists():
-        cc = _compiler()
         try:
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache, prefix=lib.name, suffix=".tmp")

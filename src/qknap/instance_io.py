@@ -9,17 +9,31 @@ ignored:
     items <n>
     <id> <weight> <level>        (n lines, items in canonical order)
 
-Frontier output is one line per label plus a ``#``-prefixed stats
-block. Random instances come from a splitmix64 stream so that the same
+Every format a solver result is printed in lives here, and the CLI
+only writes what these functions return:
+
+- ``serialize_frontier``: one ``vector=... weight=... items=[...]`` line
+  per label in canonical order, then a ``#``-prefixed stats block,
+  ``# labels=`` followed by one line per ``SolveStats`` field in field
+  order, then, when the DP table was kept, one ``cell i x: (..) (..)``
+  line per cell, row by row;
+- ``frontier_json``: the same frontier, stats and matrix as one JSON
+  document;
+- ``serialize_greedy``: the one line of a greedy solution.
+
+Random instances come from a splitmix64 stream so that the same
 parameters produce byte-identical files everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil
+from typing import Iterable
 
+from .greedy import GreedyResult
 from .model import FrontierResult, Instance, Item, RankVector, validate_instance
 
 __all__ = [
@@ -27,9 +41,11 @@ __all__ = [
     "ParseError",
     "SplitMix64",
     "format_vector",
+    "frontier_json",
     "generate_instance",
     "parse_instance",
     "serialize_frontier",
+    "serialize_greedy",
     "serialize_instance",
 ]
 
@@ -190,23 +206,52 @@ def format_vector(g: RankVector) -> str:
     return "(" + ",".join(str(c) for c in g) + ")"
 
 
-def _format_items(ids: tuple[int, ...]) -> str:
+def _format_items(ids: Iterable[int]) -> str:
     return "[" + ",".join(str(i) for i in ids) + "]"
 
 
+def _stats(result: FrontierResult) -> dict:
+    """The label count, then every ``SolveStats`` field in field order."""
+    return {"labels": len(result.labels), **asdict(result.stats)}
+
+
 def serialize_frontier(result: FrontierResult) -> str:
-    """One line per label in canonical order, then the '#' stats block."""
+    """Label lines in canonical order, the '#' stats block, then any matrix cells."""
     lines = [
         f"vector={format_vector(lab.vector)} weight={lab.weight} items={_format_items(lab.items)}"
         for lab in result.labels
     ]
-    s = result.stats
     lines += [
-        f"# labels={len(result.labels)}",
-        f"# cells={s.cells}",
-        f"# max_cell={s.max_cell}",
-        f"# comparisons={s.comparisons}",
-        f"# wall_time={s.wall_time:.6f}",
-        f"# backend={s.backend}",
+        f"# {name}={value:.6f}" if isinstance(value, float) else f"# {name}={value}"
+        for name, value in _stats(result).items()
+    ]
+    lines += [
+        f"cell {i} {x}:" + "".join(" " + format_vector(lab.vector) for lab in cell)
+        for i, row in enumerate(result.matrix or ())
+        for x, cell in enumerate(row)
     ]
     return "\n".join(lines) + "\n"
+
+
+def frontier_json(result: FrontierResult) -> str:
+    """The frontier, its stats and any matrix cells' vectors as a JSON document."""
+    doc = {
+        "frontier": [
+            {"vector": list(lab.vector), "weight": lab.weight, "items": list(lab.items)}
+            for lab in result.labels
+        ],
+        "stats": _stats(result),
+    }
+    if result.matrix is not None:
+        doc["matrix"] = [
+            [[list(lab.vector) for lab in cell] for cell in row] for row in result.matrix
+        ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_greedy(result: GreedyResult) -> str:
+    """The greedy solution's ids ascending, vector, weight and guarantee, on one line."""
+    return (
+        f"items={_format_items(sorted(result.subset))} vector={format_vector(result.vector)} "
+        f"weight={result.weight} guarantee={result.guarantee.value}\n"
+    )

@@ -20,7 +20,6 @@ __all__ = [
     "Item",
     "Instance",
     "Label",
-    "LabelMatrix",
     "RankVector",
     "SolveStats",
     "Subset",
@@ -100,7 +99,9 @@ class SolveStats:
     two implementations of the DP row kernel, ``"oracle"`` for
     brute-force enumeration, which counts no comparisons. Given the same
     input and backend, only wall_time varies between runs; both kernels
-    give the same counters.
+    give the same counters. Each field, in this order, is printed after
+    the label count as one ``# name=value`` stats line and one ``--json``
+    stats key (see ``qknap.instance_io``).
     """
 
     cells: int = 0
@@ -111,30 +112,16 @@ class SolveStats:
 
 
 @dataclass(frozen=True)
-class LabelMatrix:
-    """All DP cells, materialized: ``cells[i][x]`` for i in 0..n, x in 0..W."""
-
-    cells: tuple[tuple[tuple[Label, ...], ...], ...]
-
-    def cell(self, i: int, x: int) -> tuple[Label, ...]:
-        return self.cells[i][x]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.cells[0])
-
-
-@dataclass(frozen=True)
 class FrontierResult:
-    """Non-dominated labels in canonical order, plus run counters."""
+    """Non-dominated labels in canonical order, plus run counters.
+
+    ``matrix``, kept on request, holds every DP cell: ``matrix[i][x]``
+    for i in 0..n and x in 0..W.
+    """
 
     labels: tuple[Label, ...]
     stats: SolveStats
-    matrix: LabelMatrix | None = None
+    matrix: tuple[tuple[tuple[Label, ...], ...], ...] | None = None
 
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:

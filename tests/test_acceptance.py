@@ -99,7 +99,7 @@ def test_criterion_5_and_8_oracle_equivalence_and_bound():
     for seed, inst, result in _sweep_results():
         want = enumerate_frontier(inst)
         assert result.vectors == want.vectors, f"seed {seed}"
-        for i, row in enumerate(result.matrix.cells):
+        for i, row in enumerate(result.matrix):
             for cell in row:
                 assert len(cell) <= label_bound(inst.k, i), f"seed {seed}, row {i}"
                 cells += 1

@@ -1,4 +1,5 @@
 import json
+import re
 
 from helpers import run_cli
 
@@ -27,6 +28,17 @@ def test_solve_matrix_json(data_dir):
     doc = json.loads(proc.stdout)
     assert doc["matrix"][4][6] == [[0, 1, 0, 1], [1, 1, 1, 0]]
     assert doc["matrix"][0] == [[]] * 7
+
+
+def test_stats_keys_and_their_order(data_dir):
+    keys = ["labels", "cells", "max_cell", "comparisons", "wall_time", "backend"]
+    for command in ("solve", "enumerate"):
+        text = run_cli(command, data_dir / "table1.qknap").stdout
+        stats = [line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# ")]
+        assert [name for name, _ in stats] == keys, command
+        assert re.fullmatch(r"\d+\.\d{6}", dict(stats)["wall_time"]), command
+        doc = json.loads(run_cli(command, data_dir / "table1.qknap", "--json").stdout)
+        assert list(doc["stats"]) == keys, command
 
 
 def test_solve_missing_file():

@@ -73,10 +73,10 @@ def test_solve_table1_frontier(table1):
 
 def test_solve_table1_matrix_matches_expected_cells(table1):
     res = solve(table1, keep_matrix=True)
-    assert res.matrix.n_rows == 5 and res.matrix.n_cols == 7
+    assert len(res.matrix) == 5 and len(res.matrix[0]) == 7
     for i in range(5):
         for x in range(7):
-            got = [lab.vector for lab in res.matrix.cell(i, x)]
+            got = [lab.vector for lab in res.matrix[i][x]]
             assert got == expected_table1_cell(i, x), (i, x)
 
 
@@ -110,7 +110,7 @@ def test_capacity_beyond_the_total_weight_is_clamped():
     # a matrix shows every column up to the capacity
     matrix = solve(replace(inst, capacity=total + 3), keep_matrix=True)
     assert matrix.labels == at.labels
-    assert matrix.stats.cells == n * (total + 4) and matrix.matrix.n_cols == total + 4
+    assert matrix.stats.cells == n * (total + 4) and len(matrix.matrix[0]) == total + 4
 
 
 def test_label_bound_examples():
@@ -178,9 +178,9 @@ def test_cells_are_filter_stable_and_bounded(inst):
     for min_cells in (1, 10**12):  # C kernel forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             res = solve(inst, keep_matrix=True)
-        for i in range(res.matrix.n_rows):
-            for x in range(res.matrix.n_cols):
-                cell = list(res.matrix.cell(i, x))
+        for i in range(len(res.matrix)):
+            for x in range(len(res.matrix[0])):
+                cell = list(res.matrix[i][x])
                 assert len(cell) <= label_bound(inst.k, i)
                 assert pareto_filter(cell) == cell
                 for lab in cell:
@@ -197,10 +197,10 @@ def test_every_cell_equals_prefix_frontier(inst):
     for min_cells in (1, 10**12):  # C kernel forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             res = solve(inst, keep_matrix=True)
-        for i in range(res.matrix.n_rows):
-            for x in range(res.matrix.n_cols):
+        for i in range(len(res.matrix)):
+            for x in range(len(res.matrix[0])):
                 prefix = Instance(k=inst.k, capacity=x, items=inst.items[:i])
-                assert res.matrix.cell(i, x) == enumerate_frontier(prefix).labels, (i, x, min_cells)
+                assert res.matrix[i][x] == enumerate_frontier(prefix).labels, (i, x, min_cells)
 
 
 _PATH_SHAPES = [
@@ -357,6 +357,24 @@ def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
         res = solve(inst)
         assert res.stats.backend == "python"
         assert res.labels == enumerate_frontier(inst).labels
+    finally:
+        # the next call loads the kernel again, in the restored environment
+        qknap.dp._load_row_kernel.cache_clear()
+
+
+@needs_cc
+def test_kernel_cache_is_keyed_by_the_compiler(tmp_path, monkeypatch):
+    # a build by one compiler, such as a sanitizer's, must never load for another
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    qknap.dp._load_row_kernel.cache_clear()
+    try:
+        kernel, reason = qknap.dp._load_row_kernel()
+        assert kernel is not None, reason
+        qknap.dp._load_row_kernel.cache_clear()
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        kernel, reason = qknap.dp._load_row_kernel()
+        assert kernel is None
+        assert "no-such-cc" in reason
     finally:
         # the next call loads the kernel again, in the restored environment
         qknap.dp._load_row_kernel.cache_clear()

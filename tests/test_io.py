@@ -195,6 +195,15 @@ def test_serialize_frontier_table1(table1):
     assert any(line.startswith("# wall_time=") for line in lines)
 
 
+def test_serialize_frontier_puts_matrix_cells_after_the_stats(table1):
+    lines = serialize_frontier(solve(table1, keep_matrix=True)).splitlines()
+    last_stat = max(i for i, line in enumerate(lines) if line.startswith("#"))
+    assert lines[last_stat].startswith("# backend=")
+    cells = lines[last_stat + 1 :]
+    assert len(cells) == 5 * 7 and all(line.startswith("cell ") for line in cells)
+    assert cells[-1] == "cell 4 6: (0,1,0,1) (1,1,1,0)"
+
+
 def test_serialize_frontier_empty():
     inst = Instance(k=1, capacity=0, items=(Item(1, 1, 1),))
     out = serialize_frontier(solve(inst))
