@@ -8,24 +8,18 @@ enumerate and greedy write what ``qknap.instance_io`` formats; check and
 bench format their own reports.
 
 Exit codes: 0 success, 1 infeasible input subset, 2 input error,
-3 enumeration guard tripped.
+3 resource guard: enumeration guard tripped or out of memory.
+
+Each subcommand imports the modules it needs when it runs, so that a
+``solve`` process loads only cli, instance_io, model and dp.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .dominance import (
-    dominates,
-    equivalent,
-    evaluate,
-    falsification_witness,
-    suffix_sums,
-    weakly_dominates,
-)
-from .greedy import greedy_r, greedy_w
 from .instance_io import (
     GeneratorParams,
     ParseError,
@@ -38,6 +32,9 @@ from .instance_io import (
     serialize_instance,
 )
 from .model import InvalidInstanceError, rank_cardinality_vector, total_weight
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["main"]
 
@@ -71,6 +68,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    from .greedy import greedy_r, greedy_w
+
     inst = _load_instance(args.instance)
     result = greedy_r(inst) if args.mode == "r" else greedy_w(inst)
     sys.stdout.write(serialize_greedy(result))
@@ -113,6 +112,15 @@ def _parse_id_list(text: str) -> frozenset[int]:
 
 
 def _cmd_check(args) -> int:
+    from .dominance import (
+        dominates,
+        equivalent,
+        evaluate,
+        falsification_witness,
+        suffix_sums,
+        weakly_dominates,
+    )
+
     inst = _load_instance(args.instance)
     sub_a = _parse_id_list(args.a)
     sub_b = _parse_id_list(args.b)
@@ -146,6 +154,8 @@ def _cmd_check(args) -> int:
 
 
 def _ratio(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -247,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, InvalidInstanceError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_GUARD)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,10 @@ step. The first solve of at least ``_KERNEL_MIN_CELLS`` cells compiles
 the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
 (else ``~/.cache/qknap``), under a name keyed by the source, the
 platform, the compiler command and the flags, and loads it through
-ctypes. Later processes load the cached file. Smaller solves, and every
-solve when no compiler runs or the cache is not writable, take the
-Python twin.
+ctypes. Later processes load the cached file, which takes ctypes and
+hashlib only: the compiler toolchain (subprocess, tempfile) is imported
+only to build. Smaller solves, and every solve when no compiler runs or
+the cache is not writable, take the Python twin.
 ``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row and one item and return the next row: one row
@@ -224,12 +225,10 @@ def _load_row_kernel():
     or why none did. ``_load_row_kernel.cache_clear()`` makes the next
     call try again.
     """
-    # Imported here so that solves below the kernel threshold never pay for them.
+    # Imported here so that solves below the kernel threshold never pay for them;
+    # the build's modules are imported only when there is something to build.
     import ctypes
     import hashlib
-    import platform
-    import subprocess
-    import tempfile
 
     source = Path(__file__).with_name("_rowkernel.c")
     try:
@@ -238,10 +237,13 @@ def _load_row_kernel():
         return None, f"kernel source unreadable: {exc}"
     # A build for another compiler, such as a sanitizer's, must not be loaded.
     cc = _compiler()
-    key = "\0".join((sys.platform, platform.machine(), *cc, *_CFLAGS)).encode() + b"\0" + text
+    key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode() + b"\0" + text
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
     lib = cache / f"rowkernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
     if not lib.exists():
+        import subprocess
+        import tempfile
+
         try:
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache, prefix=lib.name, suffix=".tmp")

@@ -27,14 +27,16 @@ parameters produce byte-identical files everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from math import ceil
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .greedy import GreedyResult
 from .model import FrontierResult, Instance, Item, RankVector, validate_instance
+
+if TYPE_CHECKING:  # named in annotations only, which are never evaluated
+    from fractions import Fraction
+
+    from .greedy import GreedyResult
 
 __all__ = [
     "GeneratorParams",
@@ -235,6 +237,8 @@ def serialize_frontier(result: FrontierResult) -> str:
 
 def frontier_json(result: FrontierResult) -> str:
     """The frontier, its stats and any matrix cells' vectors as a JSON document."""
+    import json
+
     doc = {
         "frontier": [
             {"vector": list(lab.vector), "weight": lab.weight, "items": list(lab.items)}

@@ -1,7 +1,11 @@
 import json
 import re
 
+import pytest
+
+import qknap.dp
 from helpers import run_cli
+from qknap.cli import main
 
 
 def test_solve_table1_text(data_dir):
@@ -247,3 +251,20 @@ def test_solve_matrix_text_golden(data_dir):
     got = [l for l in proc.stdout.splitlines() if not l.startswith("#")]
     want = (data_dir / "table1_matrix.out").read_text().splitlines()
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "out of memory"),
+        (MemoryError("no room"), "out of memory: no room"),
+    ],
+)
+def test_out_of_memory_exits_3(data_dir, monkeypatch, capsys, exc, message):
+    # exit 1 would read as an infeasible subset
+    def solve(inst, keep_matrix=False):
+        raise exc
+
+    monkeypatch.setattr(qknap.dp, "solve", solve)
+    assert main(["solve", str(data_dir / "table1.qknap")]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
