@@ -14,17 +14,16 @@
  * records. Equal vectors keep the lighter label, then the one whose
  * witness words compare larger as unsigned integers, word 0 first,
  * which is the smaller sorted id tuple. An A survivor is copied out
- * as soon as its scan ends, and the B survivors move down behind the
- * A survivors.
+ * as soon as its scan ends. A dominated B record is marked in place by
+ * a weight of 0, which no extension has (the caller passes wt >= 1),
+ * and the unmarked ones move down behind the A survivors.
  *
  * On return out holds pos (records written), the dominance comparisons
- * made and the largest nonzero cell. Returns 0, -1 if scratch memory
- * could not be allocated, or -2 if column x has not
- * off[x] <= off[x + 1] <= off[W1], before it reads or writes outside
- * L or the 2 * off[W1] records of L_o.
+ * made and the size of the largest column. Returns 0, or -2 if column
+ * x has not off[x] <= off[x + 1] <= off[W1], before it reads or writes
+ * outside L or the 2 * off[W1] records of L_o.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
@@ -35,14 +34,9 @@ int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
     int64_t word = k + 1 + rank / 64;
     uint64_t bit = (uint64_t)1 << (63 - rank % 64);
     size_t size = R * sizeof(uint64_t);
-    char *kill_b = malloc(off[W1] + 1);
-    if (!kill_b)
-        return -1;
     for (int64_t x = 0; x < W1; x++) {
-        if (off[x + 1] < off[x] || off[x + 1] > off[W1]) {
-            free(kill_b);
+        if (off[x + 1] < off[x] || off[x + 1] > off[W1])
             return -2;
-        }
         off_o[x] = pos;
         int64_t ma = off[x + 1] - off[x], mb = 0;
         const uint64_t *A = L + off[x] * R;
@@ -51,24 +45,24 @@ int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
             mb = off[x - wt + 1] - off[x - wt];
             memcpy(B, L + off[x - wt] * R, mb * size);
         }
-        for (int64_t bi = 0; bi < mb; bi++) {
-            uint64_t *e = B + bi * R;
+        for (uint64_t *e = B; e < B + mb * R; e += R) {
             for (int64_t j = 0; j < k && j < level; j++)
                 e[j]++;
             e[k] += wt;
             e[word] |= bit;
-            kill_b[bi] = 0;
         }
         comparisons += ma * mb;
         for (const uint64_t *a = A; a < A + ma * R; a += R) {
             int kill_a = 0;
-            for (int64_t bi = 0; bi < mb; bi++) {
-                const uint64_t *b = B + bi * R;
+            for (uint64_t *b = B; b < B + mb * R; b += R) {
                 int ge_ba = 1, ge_ab = 1;
                 for (int64_t j = 0; j < k && (ge_ba || ge_ab); j++) {
                     ge_ba &= b[j] >= a[j];
                     ge_ab &= a[j] >= b[j];
                 }
+                /* A marked b is never read here again: column x of L holds
+                 * distinct non-dominated vectors, so no later a equals or
+                 * lies below a b that an earlier a has covered. */
                 if (ge_ba && ge_ab) { /* equal vectors: the lighter, then the larger words */
                     int64_t q = k + 1;
                     while (q < R - 1 && a[q] == b[q])
@@ -79,20 +73,18 @@ int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
                 if (ge_ba)
                     kill_a = 1;
                 else if (ge_ab)
-                    kill_b[bi] = 1;
+                    b[k] = 0;
             }
             if (!kill_a)
                 memcpy(L_o + pos++ * R, a, size);
         }
-        for (int64_t bi = 0; bi < mb; bi++)
-            if (!kill_b[bi])
-                memmove(L_o + pos++ * R, B + bi * R, size);
-        int64_t m = pos - off_o[x];
-        if (m > max_cell && !(m == 1 && L_o[off_o[x] * R + k] == 0))
-            max_cell = m;
+        for (const uint64_t *b = B; b < B + mb * R; b += R)
+            if (b[k])
+                memmove(L_o + pos++ * R, b, size);
+        if (pos - off_o[x] > max_cell)
+            max_cell = pos - off_o[x];
     }
     off_o[W1] = pos;
-    free(kill_b);
     out[0] = pos;
     out[1] = comparisons;
     out[2] = max_cell;

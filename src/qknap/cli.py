@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from .instance_io import (
     GeneratorParams,
-    ParseError,
     format_vector,
     frontier_json,
     generate_instance,
@@ -54,7 +53,7 @@ def _load_instance(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(0, f"cannot read '{path}': {exc.strerror}")
+        raise ValueError(f"cannot read '{path}': {exc.strerror}") from None
     return parse_instance(text)
 
 
@@ -255,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInstanceError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and InvalidInstanceError among them
         return _fail(str(exc), EXIT_INPUT)
     except MemoryError as exc:
         return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_GUARD)

@@ -35,14 +35,19 @@ only to build. Smaller solves, and every solve when no compiler runs or
 the cache is not writable, take the Python twin.
 ``SolveStats.backend`` names the kernel that ran.
 
-Both kernels take a row and one item and return the next row: one row
-in, one row out. Per column they extend each label of column x - wt by
-the item once, then merge plain records, A (column x) first. The C
-kernel gets the buffers' addresses as bare pointers, so its ctypes
-wrapper allocates the next row itself, room for two labels for every
-input label, and trims it to what C wrote. It checks first what C
-cannot: that L and off are ``array``s of typecodes "Q" and "q", that L
-holds off[-1] records of k + 1 + nw words, and that the item's rank
+Both kernels take a row and one item and return the next row, the
+dominance comparisons made and max_cell, the size of the row's largest
+column: one row in, one row out. Per column they extend each label of
+column x - wt by the item once, then merge plain records, A (column x)
+first, and mark a dominated extension by setting its weight to 0, which
+no extension weighs. They know nothing of the zero label: ``solve``
+leaves it out of max_cell, and ``_cell_labels`` out of the reported
+cells. The C kernel gets the buffers' addresses as bare pointers, so
+its ctypes wrapper allocates the next row itself, room for two labels
+for every input label, and trims it to what C wrote; C allocates
+nothing. The wrapper checks first what C cannot: that L and off are
+``array``s of typecodes "Q" and "q", that L holds off[-1] records of
+k + 1 + nw words, that the item weighs at least 1 and that its rank
 falls inside nw words, and raises ValueError before any C code runs if
 not. C checks each column's offsets when it reaches them and refuses
 (ValueError too) any that decrease or point past the row.
@@ -119,7 +124,10 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     for item in inst.items:
         row, comps, mc = kernel(row, k, nw, item.weight, item.level, rank[item.id])
         stats.comparisons += comps
-        stats.max_cell = max(stats.max_cell, mc)
+        # The zero label does not count. When every column holds one label, all
+        # are zero labels exactly when the last record, column W's, weighs 0:
+        # column W holds a nonzero label whenever any column does.
+        stats.max_cell = max(stats.max_cell, mc if mc > 1 or row[0][-1 - nw] else 0)
         if keep_matrix:
             rows.append(row)
     labels = _cell_labels(row, W, k, ids)
@@ -180,29 +188,25 @@ def _row_kernel_py(row, k, nw, wt, level, rank):
         ext = [[v + (j < level) for j, v in enumerate(b[:k])] + [b[k] + wt] + b[k + 1 :] for b in B]
         for e in ext:
             e[word] |= bit
-        kill_b = [False] * len(ext)
         ext_sums = [e[:k] for e in ext]
         for a in A:
             sa, kill_a = a[:k], False
-            for bi, sb in enumerate(ext_sums):
+            for e, sb in zip(ext, ext_sums):
                 if sa == sb:  # equal vectors: the lighter, then the larger witness words
-                    e = ext[bi]
                     if a[k] < e[k] or (a[k] == e[k] and a[k + 1 :] > e[k + 1 :]):
-                        kill_b[bi] = True
+                        e[k] = 0
                     else:
                         kill_a = True
                 elif all(map(ge, sb, sa)):
                     kill_a = True
                 elif all(map(ge, sa, sb)):
-                    kill_b[bi] = True
+                    e[k] = 0  # marked dominated: no extension weighs 0
             if not kill_a:
                 L_out.extend(a)
-        for e, killed in zip(ext, kill_b):
-            if not killed:
+        for e in ext:
+            if e[k]:
                 L_out.extend(e)
-        m = len(L_out) // R - offs[x]
-        if m > max_cell and not (m == 1 and L_out[offs[x] * R + k] == 0):
-            max_cell = m
+        max_cell = max(max_cell, len(L_out) // R - offs[x])
     offs.append(len(L_out) // R)
     return (L_out, offs), comparisons, max_cell
 
@@ -278,7 +282,7 @@ def _load_row_kernel():
             all(isinstance(b, array) for b in row)
             and L.typecode + off.typecode == "Qq"
             and k >= 1
-            and 1 <= wt < 1 << 63  # ctypes would wrap a larger one to a negative int64
+            and 1 <= wt < 1 << 63  # weight 0 marks the dominated; ctypes would wrap 2**63 and up
             and len(off) >= 2
             and off[0] == 0
             and len(L) == off[-1] * R
@@ -289,10 +293,8 @@ def _load_row_kernel():
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
         addr = [b.buffer_info()[0] for b in (L, off, L_o, off_o, out)]
         rc = fn(*addr[:2], len(off) - 1, k, nw, wt, level, rank, *addr[2:])
-        if rc == -2:
-            raise ValueError("row kernel buffers do not fit the row")  # off decreases
         if rc != 0:
-            raise MemoryError("row kernel could not allocate its scratch space")
+            raise ValueError("row kernel buffers do not fit the row")  # off decreases
         pos, comparisons, max_cell = out
         del L_o[pos * R :]
         return (L_o, off_o), comparisons, max_cell

@@ -41,55 +41,43 @@ class GreedyResult:
 
 def r_lex_order(inst: Instance) -> tuple[int, ...]:
     """Item positions sorted by level desc, then weight asc, then id asc."""
-    items = inst.items
-    return tuple(
-        sorted(range(len(items)), key=lambda p: (-items[p].level, items[p].weight, items[p].id))
-    )
+    return _order(inst, lambda item: (-item.level, item.weight, item.id))
 
 
 def w_lex_order(inst: Instance) -> tuple[int, ...]:
     """Item positions sorted by weight asc, then level desc, then id asc."""
+    return _order(inst, lambda item: (item.weight, -item.level, item.id))
+
+
+def _order(inst: Instance, key) -> tuple[int, ...]:
     items = inst.items
-    return tuple(
-        sorted(range(len(items)), key=lambda p: (items[p].weight, -items[p].level, items[p].id))
-    )
-
-
-def _fill(inst: Instance, order: tuple[int, ...]) -> tuple[Subset, int]:
-    remaining = inst.capacity
-    chosen = []
-    for pos in order:
-        item = inst.items[pos]
-        if item.weight <= remaining:
-            chosen.append(item.id)
-            remaining -= item.weight
-    return frozenset(chosen), inst.capacity - remaining
+    return tuple(sorted(range(len(items)), key=lambda p: key(items[p])))
 
 
 def greedy_r(inst: Instance) -> GreedyResult:
     """Greedy fill in level-major order; the result is always efficient."""
-    validate_instance(inst)
-    subset, weight = _fill(inst, r_lex_order(inst))
-    return GreedyResult(
-        subset=subset,
-        vector=rank_cardinality_vector(subset, inst),
-        weight=weight,
-        guarantee=Guarantee.EFFICIENT,
-    )
+    return _greedy(inst, r_lex_order, Guarantee.EFFICIENT, Guarantee.EFFICIENT)
 
 
 def greedy_w(inst: Instance) -> GreedyResult:
     """Greedy fill in weight-major order; efficient when it fills W exactly."""
+    return _greedy(inst, w_lex_order, Guarantee.EFFICIENT_BECAUSE_FULL, Guarantee.NO_GUARANTEE)
+
+
+def _greedy(inst: Instance, order, if_full: Guarantee, otherwise: Guarantee) -> GreedyResult:
+    """Take the items of ``order(inst)`` in turn, each one that still fits."""
     validate_instance(inst)
-    subset, weight = _fill(inst, w_lex_order(inst))
-    guarantee = (
-        Guarantee.EFFICIENT_BECAUSE_FULL
-        if weight == inst.capacity
-        else Guarantee.NO_GUARANTEE
-    )
+    remaining = inst.capacity
+    chosen = []
+    for pos in order(inst):
+        item = inst.items[pos]
+        if item.weight <= remaining:
+            chosen.append(item.id)
+            remaining -= item.weight
+    subset = frozenset(chosen)
     return GreedyResult(
         subset=subset,
         vector=rank_cardinality_vector(subset, inst),
-        weight=weight,
-        guarantee=guarantee,
+        weight=inst.capacity - remaining,
+        guarantee=if_full if remaining == 0 else otherwise,
     )

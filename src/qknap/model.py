@@ -123,10 +123,6 @@ class FrontierResult:
     stats: SolveStats
     matrix: tuple[tuple[tuple[Label, ...], ...], ...] | None = None
 
-    @property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(lab.vector for lab in self.labels)
-
 
 def validate_instance(raw: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.

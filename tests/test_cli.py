@@ -49,7 +49,7 @@ def test_solve_missing_file():
     proc = run_cli("solve", "no-such-file.qknap")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "cannot read" in proc.stderr
+    assert proc.stderr.startswith("error: cannot read 'no-such-file.qknap': ")
 
 
 def test_solve_malformed_file(tmp_path):

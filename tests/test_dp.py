@@ -93,6 +93,8 @@ def test_solve_zero_capacity(table1):
                 assert res.labels == ()
                 # the zero label is not reported, so it never counts toward a cell's size
                 assert res.stats.max_cell == 0, (min_cells, inst.capacity)
+            # one item: every column holds one label, the zero label or the item
+            assert solve(replace(zero, capacity=2, items=zero.items[:1])).stats.max_cell == 1
 
 
 def test_solve_empty_instance():
@@ -273,6 +275,16 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
         fast.stats.max_cell,
         fast.stats.comparisons,
     )
+    # row by row: the same row in gives the same (L, off), comparisons and max_cell
+    ids = sorted(item.id for item in inst.items)
+    nw = -(-len(ids) // 64)
+    W = min(inst.capacity, total_weight(ids, inst))
+    row = array("Q", [0]) * ((W + 1) * (inst.k + 1 + nw)), array("q", range(W + 2))
+    for i, item in enumerate(inst.items):
+        args = (inst.k, nw, item.weight, item.level, ids.index(item.id))
+        got = kernel(row, *args)
+        assert got == qknap.dp._row_kernel_py(row, *args), f"item {i}"
+        row = got[0]
 
 
 @needs_cc
