@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from .instance_io import (
     GeneratorParams,
+    ParseError,
     format_vector,
     frontier_json,
     generate_instance,
@@ -50,10 +51,16 @@ def _fail(message: str, code: int) -> int:
 
 def _load_instance(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read '{path}': {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as parse_instance would: the same splitlines breaks
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
     return parse_instance(text)
 
 
@@ -111,14 +118,7 @@ def _parse_id_list(text: str) -> frozenset[int]:
 
 
 def _cmd_check(args) -> int:
-    from .dominance import (
-        dominates,
-        equivalent,
-        evaluate,
-        falsification_witness,
-        suffix_sums,
-        weakly_dominates,
-    )
+    from .dominance import evaluate, falsification_witness, suffix_sums, weakly_dominates
 
     inst = _load_instance(args.instance)
     sub_a = _parse_id_list(args.a)
@@ -132,18 +132,19 @@ def _cmd_check(args) -> int:
                 f"subset {name} is infeasible: weight {weight} > capacity {inst.capacity}",
                 EXIT_INFEASIBLE,
             )
-    if equivalent(ga, gb):
+    a_over_b, b_over_a = weakly_dominates(ga, gb), weakly_dominates(gb, ga)
+    if a_over_b and b_over_a:
         verdict = "equivalent"
-    elif dominates(ga, gb):
+    elif a_over_b:
         verdict = "dominates"
-    elif dominates(gb, ga):
+    elif b_over_a:
         verdict = "dominated"
     else:
         verdict = "incomparable"
     print(f"verdict={verdict}")
     print(f"suffix_a={format_vector(suffix_sums(ga))}")
     print(f"suffix_b={format_vector(suffix_sums(gb))}")
-    if args.witness and not weakly_dominates(ga, gb):
+    if args.witness and not a_over_b:
         witness = falsification_witness(ga, gb, len(inst.items))
         values = "(" + ",".join(str(v) for v in witness.values) + ")"
         print(f"witness={values}")

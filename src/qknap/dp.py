@@ -65,14 +65,7 @@ from array import array
 from operator import ge
 from pathlib import Path
 
-from .model import (
-    FrontierResult,
-    Instance,
-    Label,
-    SolveStats,
-    canonical_key,
-    validate_instance,
-)
+from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 
 __all__ = ["label_bound", "solve"]
 
@@ -106,7 +99,6 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     column repeats the last, so ``stats.cells`` counts n * (min(W, total
     weight) + 1) cells.
     """
-    validate_instance(inst)
     t0 = time.perf_counter()
     n, k, W = len(inst.items), inst.k, inst.capacity
     if not keep_matrix:  # a matrix shows every column, so it keeps W

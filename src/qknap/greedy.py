@@ -12,13 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import (
-    Instance,
-    RankVector,
-    Subset,
-    rank_cardinality_vector,
-    validate_instance,
-)
+from .model import Instance, RankVector, Subset, rank_cardinality_vector
 
 __all__ = ["Guarantee", "GreedyResult", "greedy_r", "greedy_w", "r_lex_order", "w_lex_order"]
 
@@ -66,7 +60,6 @@ def greedy_w(inst: Instance) -> GreedyResult:
 
 def _greedy(inst: Instance, order, if_full: Guarantee, otherwise: Guarantee) -> GreedyResult:
     """Take the items of ``order(inst)`` in turn, each one that still fits."""
-    validate_instance(inst)
     remaining = inst.capacity
     chosen = []
     for pos in order(inst):

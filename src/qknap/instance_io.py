@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from math import ceil
 from typing import TYPE_CHECKING, Iterable
 
-from .model import FrontierResult, Instance, Item, RankVector, validate_instance
+from .model import FrontierResult, Instance, Item, RankVector
 
 if TYPE_CHECKING:  # named in annotations only, which are never evaluated
     from fractions import Fraction
@@ -110,12 +110,8 @@ class GeneratorParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.weight_max < 1:
             raise ValueError(f"weight_max must be >= 1, got {self.weight_max}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if (self.capacity is None) == (self.ratio is None):
             raise ValueError("exactly one of capacity or ratio must be set")
-        if self.capacity is not None and self.capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
         if self.ratio is not None and not 0 < self.ratio <= 1:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
 
@@ -132,7 +128,7 @@ def generate_instance(p: GeneratorParams) -> Instance:
     items = tuple(
         Item(id=i + 1, weight=weights[i], level=levels[i]) for i in range(p.n)
     )
-    return validate_instance(Instance(k=p.k, capacity=cap, items=items))
+    return Instance(k=p.k, capacity=cap, items=items)
 
 
 def parse_instance(text: str) -> Instance:
@@ -189,7 +185,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError:
             raise ParseError(lineno, f"item line fields must be integers: '{' '.join(toks)}'")
         items.append(Item(id=ident, weight=weight, level=level))
-    return validate_instance(Instance(k=k, capacity=capacity, items=tuple(items)))
+    return Instance(k=k, capacity=capacity, items=tuple(items))
 
 
 def serialize_instance(inst: Instance) -> str:

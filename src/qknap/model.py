@@ -56,8 +56,10 @@ class Item:
 class Instance:
     """A problem instance: k levels, capacity, and items in input order.
 
-    Construction performs no checking; run :func:`validate_instance`
-    before handing an instance to a solver.
+    Valid once it exists: construction, ``dataclasses.replace`` included,
+    runs :func:`validate_instance` and raises
+    :class:`InvalidInstanceError` on any broken invariant, so solvers
+    take an instance as it comes.
     """
 
     k: int
@@ -67,6 +69,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not isinstance(self.items, tuple):
             object.__setattr__(self, "items", tuple(self.items))
+        validate_instance(self)  # the module-level name, which perfbench's tracer wraps
 
     @cached_property
     def by_id(self) -> dict[int, Item]:
@@ -127,8 +130,9 @@ class FrontierResult:
 def validate_instance(raw: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
-    Raises :class:`InvalidInstanceError` with a diagnostic naming the
-    offending field and item id.
+    ``Instance`` runs this on construction, so an existing instance has
+    passed it. Raises :class:`InvalidInstanceError` with a diagnostic
+    naming the offending field and item id.
     """
     if raw.k < 1:
         raise InvalidInstanceError(f"k must be >= 1, got {raw.k}")

@@ -11,7 +11,7 @@ import time
 from typing import Iterator
 
 from .dominance import pareto_filter
-from .model import FrontierResult, Instance, Label, SolveStats, Subset, validate_instance
+from .model import FrontierResult, Instance, Label, SolveStats, Subset
 
 __all__ = ["ENUMERATION_GUARD", "OracleGuardError", "enumerate_feasible", "enumerate_frontier"]
 
@@ -36,7 +36,6 @@ def enumerate_feasible(inst: Instance, force: bool = False) -> Iterator[Subset]:
     Bit j of the mask selects ``inst.items[j]``; each feasible subset is
     yielded exactly once.
     """
-    validate_instance(inst)
     _check_guard(inst, force)
     yield frozenset()
     yield from (frozenset(lab.items) for lab in _feasible_labels(inst))
@@ -50,7 +49,6 @@ def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
     are removed by pairwise suffix-sum tests, and the all-zero vector of
     the empty selection is never reported.
     """
-    validate_instance(inst)
     _check_guard(inst, force)
     t0 = time.perf_counter()
     frontier = pareto_filter(_feasible_labels(inst))

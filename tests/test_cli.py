@@ -4,7 +4,7 @@ import re
 import pytest
 
 import qknap.dp
-from helpers import run_cli
+from helpers import drop_wall_time, run_cli
 from qknap.cli import main
 
 
@@ -75,6 +75,34 @@ def test_solve_refuses_a_weight_beyond_int64(data_dir):
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "item 1: weight must be < 2**63" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"qknap 1\n\xff\n", 2, "0xff"),
+        # a Latin-1 e-acute in a comment
+        (b"qknap 1\nlevels 1\ncapacity 3\nitems 1\n1 1 1 # caf\xe9\n", 5, "0xe9"),
+    ],
+)
+def test_solve_refuses_non_utf8_text_with_its_line(tmp_path, data, line, byte):
+    bad = tmp_path / "bad.qknap"
+    bad.write_bytes(data)
+    proc = run_cli("solve", bad)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: line {line}: not UTF-8 text: byte {byte}\n"
+
+
+def test_solve_reads_crlf_lines(tmp_path, data_dir):
+    text = (data_dir / "table1.qknap").read_bytes()
+    crlf = tmp_path / "crlf.qknap"
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    proc = run_cli("solve", crlf)
+    assert proc.returncode == 0
+    assert drop_wall_time(proc.stdout) == drop_wall_time(
+        run_cli("solve", data_dir / "table1.qknap").stdout
+    )
 
 
 def test_greedy_modes(data_dir):
