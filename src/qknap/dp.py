@@ -11,16 +11,32 @@ lexicographically smallest id tuple. Reported cells never include the
 empty selection's all-zero label.
 
 A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
-uint64) holds one record of k + 1 + nw words per label: the k suffix
-sums, the weight, then the nw = ceil(n/64) witness words. Records
-off[x]:off[x+1] (off of typecode "q") belong to capacity x. Suffix sums
-make dominance a plain componentwise comparison. The witness words hold
-a bit set over the items ranked by ascending id: rank r is bit
-63 - r % 64 of word r // 64. Equal-vector, equal-weight witnesses have
-the same size, and the one with the smaller sorted id tuple holds the
-least id of their symmetric difference, so its words compare larger as
-unsigned integers, word 0 first. That settles every tie in O(n/64),
-whatever the order in which items are swept.
+uint64) holds one record of ks + 1 + nw words per label: the ks lane
+words, the weight, then the nw = ceil(n/64) witness words. Records
+off[x]:off[x+1] (off of typecode "q") belong to capacity x.
+
+The lane words hold the k suffix sums, which make dominance a plain
+componentwise comparison. Sum j sits in a lane of lane = n.bit_length()
++ 1 bits, lane j % per of word j // per, at bit (j % per) * lane, with
+per = 64 // lane lanes to a word, so ks = ceil(k / per) and no lane
+straddles two words. A sum never exceeds n, so the top bit of each lane,
+its guard, stays clear, and extending a label adds one to the low bit of
+each of its first level lanes without a carry. With H the mask of a
+word's guard bits, a >= b holds in every lane of a word iff
+
+    ((a | H) - b) & H == H
+
+because each lane computes a_j + 2**(lane - 1) - b_j, which is never
+negative: no borrow crosses into the next lane, and the guard survives
+exactly where a_j >= b_j. A dominance test is one subtract-and-mask per
+lane word, and equal vectors have equal words.
+
+The witness words hold a bit set over the items ranked by ascending id:
+rank r is bit 63 - r % 64 of word r // 64. Equal-vector, equal-weight
+witnesses have the same size, and the one with the smaller sorted id
+tuple holds the least id of their symmetric difference, so its words
+compare larger as unsigned integers, word 0 first. That settles every
+tie in O(n/64), whatever the order in which items are swept.
 
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
@@ -29,10 +45,15 @@ step. The first solve of at least ``_KERNEL_MIN_CELLS`` cells compiles
 the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
 (else ``~/.cache/qknap``), under a name keyed by the source, the
 platform, the compiler command and the flags, and loads it through
-ctypes. Later processes load the cached file, which takes ctypes and
-hashlib only: the compiler toolchain (subprocess, tempfile) is imported
-only to build. Smaller solves, and every solve when no compiler runs or
-the cache is not writable, take the Python twin.
+ctypes. The name is ``importlib.util.source_hash`` of that key, which
+is keyed by the interpreter's magic number, so each Python version
+builds its own copy. Later processes load the cached file, which takes
+ctypes and importlib.util (which ``python -m`` has already imported)
+only: the compiler toolchain (shutil, subprocess, tempfile) is
+imported only to build, and a compiler that is not there is found
+missing before anything is written. Smaller solves, and every solve
+when no compiler runs or the cache is not writable, take the Python
+twin.
 ``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row and one item and return the next row, the
@@ -46,8 +67,9 @@ cells. The C kernel gets the buffers' addresses as bare pointers, so
 its ctypes wrapper allocates the next row itself, room for two labels
 for every input label, and trims it to what C wrote; C allocates
 nothing. The wrapper checks first what C cannot: that L and off are
-``array``s of typecodes "Q" and "q", that L holds off[-1] records of
-k + 1 + nw words, that the item weighs at least 1 and that its rank
+``array``s of typecodes "Q" and "q", that a lane is 1 to 64 bits wide,
+that the item's level lies in 1..k, that L holds off[-1] records of
+ks + 1 + nw words, that the item weighs at least 1 and that its rank
 falls inside nw words, and raises ValueError before any C code runs if
 not. C checks each column's offsets when it reaches them and refuses
 (ValueError too) any that decrease or point past the row.
@@ -62,7 +84,7 @@ import shlex
 import sys
 import time
 from array import array
-from operator import ge
+from operator import add, sub
 from pathlib import Path
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
@@ -70,11 +92,11 @@ from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 __all__ = ["label_bound", "solve"]
 
 # Solves of at least this many cells (n * (W + 1)) run the C kernel. At
-# 2,000 cells the Python twin takes 9-30 us per cell (18-60 ms a solve),
-# the C kernel 1-2 us, and building the C kernel once, cached for later
-# processes, 0.16-0.21 s (2-vCPU VM, gcc 12.2): three to ten Python solves
-# of that size. Smaller solves, such as a cold start on a tiny instance,
-# never start the compiler.
+# 2,000 cells the Python twin takes 2-7 us per cell (4-14 ms a solve), the
+# C kernel 0.05-0.2 us plus 1.2-1.8 ms to load a cached build, and building
+# the C kernel once, cached for later processes, 0.15-0.24 s (2-vCPU VM,
+# gcc 12.2, Python 3.11): ten to sixty Python solves of that size. Smaller
+# solves, such as a cold start on a tiny instance, never start the compiler.
 _KERNEL_MIN_CELLS = 2_000
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -110,11 +132,14 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     nw = -(-n // 64)
+    lane = n.bit_length() + 1  # a suffix sum never exceeds n: the top bit is a guard
+    lanes = _lanes(k, lane)
+    ks = lanes[0]
     # row 0: the all-zero label (empty subset) in every column
-    row = _zeros("Q", (W + 1) * (k + 1 + nw)), array("q", range(W + 2))
+    row = _zeros("Q", (W + 1) * (ks + 1 + nw)), array("q", range(W + 2))
     rows = [row]
     for item in inst.items:
-        row, comps, mc = kernel(row, k, nw, item.weight, item.level, rank[item.id])
+        row, comps, mc = kernel(row, k, lane, nw, item.weight, item.level, rank[item.id])
         stats.comparisons += comps
         # The zero label does not count. When every column holds one label, all
         # are zero labels exactly when the last record, column W's, weighs 0:
@@ -122,10 +147,10 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         stats.max_cell = max(stats.max_cell, mc if mc > 1 or row[0][-1 - nw] else 0)
         if keep_matrix:
             rows.append(row)
-    labels = _cell_labels(row, W, k, ids)
+    labels = _cell_labels(row, W, lanes, ids)
     matrix = None
     if keep_matrix:
-        matrix = tuple(tuple(_cell_labels(r, x, k, ids) for x in range(W + 1)) for r in rows)
+        matrix = tuple(tuple(_cell_labels(r, x, lanes, ids) for x in range(W + 1)) for r in rows)
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
@@ -134,69 +159,94 @@ def _zeros(typecode: str, size: int) -> array:
     return array(typecode, [0]) * size
 
 
-def _cell_labels(row, x: int, k: int, ids: list[int]) -> tuple[Label, ...]:
+def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
     """Reported view of column x of a row: zero label stripped, canonical order.
 
-    ``ids`` lists the item ids in rank order, which is ascending, so each
-    witness comes out sorted.
+    ``lanes`` is the record layout ``_lanes(k, lane)``. ``ids`` lists the
+    item ids in rank order, which is ascending, so each witness comes out
+    sorted.
     """
     L, off = row
     R = len(L) // off[-1]  # every column holds at least the zero label
+    ks, mask, where = lanes
     out = []
-    for i in range(off[x], off[x + 1]):
-        rec = L[i * R : i * R + R]
-        if rec[k] == 0:
+    for i in range(off[x] * R, off[x + 1] * R, R):
+        weight = L[i + ks]
+        if weight == 0:
             continue
         items = []
-        for q, word in enumerate(rec[k + 1 :]):
+        for q, word in enumerate(L[i + ks + 1 : i + R]):
             while word:
                 top = word.bit_length() - 1
                 items.append(ids[64 * q + 63 - top])
                 word ^= 1 << top
-        vector = tuple(rec[j] - rec[j + 1] for j in range(k - 1)) + (rec[k - 1],)
-        out.append(Label(vector=vector, weight=rec[k], items=tuple(items)))
+        sums = [L[i + q] >> shift & mask for q, shift in where]
+        sums.append(0)
+        out.append(Label(tuple(map(sub, sums, sums[1:])), weight, tuple(items)))
     out.sort(key=canonical_key)
     return tuple(out)
 
 
-def _row_kernel_py(row, k, nw, wt, level, rank):
+def _lanes(k: int, lane: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Record layout: ks lane words, one lane's mask, each suffix sum's (word, shift)."""
+    per = 64 // lane
+    return -(-k // per), (1 << lane) - 1, [(j // per, j % per * lane) for j in range(k)]
+
+
+def _row_kernel_py(row, k, lane, nw, wt, level, rank):
     """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
     Same arguments and results as the C kernel's wrapper: ``(next_row,
-    comparisons, max_cell)``.
+    comparisons, max_cell)``. It reads a label's ks lane words as one
+    integer, word q at bit 64q, and tests dominance on that with the guard
+    bits of every word in ``HH``: no borrow crosses a lane, so the test
+    holds across words as it does within one, and adding the item's
+    increment words adds ``INC``.
     """
     L, off = row
-    R = k + 1 + nw
-    word, bit = k + 1 + rank // 64, 1 << (63 - rank % 64)
+    per = 64 // lane
+    ks = -(-k // per)
+    R = ks + 1 + nw
+    ones = ((1 << per * lane) - 1) // ((1 << lane) - 1)  # bit 0 of every lane
+    full, part = level // per, ones & ((1 << level % per * lane) - 1)
+    inc = [ones if q < full else part if q == full else 0 for q in range(ks)]
+    INC = sum(v << 64 * q for q, v in enumerate(inc))
+    HH = sum(ones << (64 * q + lane - 1) for q in range(ks))
+    word, bit = ks + 1 + rank // 64, 1 << (63 - rank % 64)
     recs = [L[i : i + R].tolist() for i in range(0, len(L), R)]
+    sums = L[0::R].tolist()
+    for q in range(1, ks):
+        sums = [v | w << 64 * q for v, w in zip(sums, L[q::R])]
     off = off.tolist()
     comparisons = max_cell = 0
     L_out, offs = array("Q"), array("q")
     for x in range(len(off) - 1):
         offs.append(len(L_out) // R)
-        A = recs[off[x] : off[x + 1]]
-        B = recs[off[x - wt] : off[x - wt + 1]] if x >= wt else []  # else the cell carries over
-        comparisons += len(A) * len(B)
-        ext = [[v + (j < level) for j, v in enumerate(b[:k])] + [b[k] + wt] + b[k + 1 :] for b in B]
+        A = zip(recs[off[x] : off[x + 1]], sums[off[x] : off[x + 1]])
+        B = range(off[x - wt], off[x - wt + 1]) if x >= wt else ()  # else the cell carries over
+        comparisons += (off[x + 1] - off[x]) * len(B)
+        ext = [
+            list(map(add, recs[i][:ks], inc)) + [recs[i][ks] + wt] + recs[i][ks + 1 :] for i in B
+        ]
         for e in ext:
             e[word] |= bit
-        ext_sums = [e[:k] for e in ext]
-        for a in A:
-            sa, kill_a = a[:k], False
+        ext_sums = [sums[i] + INC for i in B]
+        for a, sa in A:
+            kill_a = False
             for e, sb in zip(ext, ext_sums):
                 if sa == sb:  # equal vectors: the lighter, then the larger witness words
-                    if a[k] < e[k] or (a[k] == e[k] and a[k + 1 :] > e[k + 1 :]):
-                        e[k] = 0
+                    if a[ks] < e[ks] or (a[ks] == e[ks] and a[ks + 1 :] > e[ks + 1 :]):
+                        e[ks] = 0
                     else:
                         kill_a = True
-                elif all(map(ge, sb, sa)):
+                elif ((sb | HH) - sa) & HH == HH:
                     kill_a = True
-                elif all(map(ge, sa, sb)):
-                    e[k] = 0  # marked dominated: no extension weighs 0
+                elif ((sa | HH) - sb) & HH == HH:
+                    e[ks] = 0  # marked dominated: no extension weighs 0
             if not kill_a:
                 L_out.extend(a)
         for e in ext:
-            if e[k]:
+            if e[ks]:
                 L_out.extend(e)
         max_cell = max(max_cell, len(L_out) // R - offs[x])
     offs.append(len(L_out) // R)
@@ -224,7 +274,7 @@ def _load_row_kernel():
     # Imported here so that solves below the kernel threshold never pay for them;
     # the build's modules are imported only when there is something to build.
     import ctypes
-    import hashlib
+    import importlib.util
 
     source = Path(__file__).with_name("_rowkernel.c")
     try:
@@ -235,8 +285,12 @@ def _load_row_kernel():
     cc = _compiler()
     key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode() + b"\0" + text
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
-    lib = cache / f"rowkernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    lib = cache / f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
     if not lib.exists():
+        import shutil
+
+        if shutil.which(cc[0]) is None:
+            return None, f"no C compiler {shlex.join(cc)} to build {lib.name}"
         import subprocess
         import tempfile
 
@@ -262,29 +316,29 @@ def _load_row_kernel():
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
     except OSError as exc:
         return None, f"cannot load {lib}: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 3
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 3
     fn.restype = ctypes.c_int
 
-    def kernel(row, k, nw, wt, level, rank):
+    def kernel(row, k, lane, nw, wt, level, rank):
         # The C side reads and writes through bare pointers, unchecked: off[-1]
-        # records of k + 1 + nw words in, up to that many kept and extended out.
+        # records of ks + 1 + nw words in, up to that many kept and extended out.
         L, off = row
-        R = k + 1 + nw
         if not (
             all(isinstance(b, array) for b in row)
             and L.typecode + off.typecode == "Qq"
-            and k >= 1
+            and 1 <= lane <= 64  # at least one lane to a word
+            and 1 <= level <= k
             and 1 <= wt < 1 << 63  # weight 0 marks the dominated; ctypes would wrap 2**63 and up
             and len(off) >= 2
             and off[0] == 0
-            and len(L) == off[-1] * R
+            and len(L) == off[-1] * (R := -(-k // (64 // lane)) + 1 + nw)
             and 0 <= rank < 64 * nw
         ):
             raise ValueError("row kernel buffers do not fit the row")
         L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off))
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
         addr = [b.buffer_info()[0] for b in (L, off, L_o, off_o, out)]
-        rc = fn(*addr[:2], len(off) - 1, k, nw, wt, level, rank, *addr[2:])
+        rc = fn(*addr[:2], len(off) - 1, k, lane, nw, wt, level, rank, *addr[2:])
         if rc != 0:
             raise ValueError("row kernel buffers do not fit the row")  # off decreases
         pos, comparisons, max_cell = out

@@ -1,3 +1,4 @@
+import os
 import random
 import shutil
 import subprocess
@@ -214,6 +215,10 @@ _PATH_SHAPES = [
     GeneratorParams(n=18, k=4, weight_max=5, seed=5, capacity=35),
     GeneratorParams(n=14, k=5, weight_max=6, seed=6, capacity=28),
     GeneratorParams(n=40, k=2, weight_max=1, seed=7, capacity=12),  # all ties
+    # suffix sums in lanes of n.bit_length() + 1 bits, 64 // that many to a word
+    GeneratorParams(n=130, k=8, weight_max=3, seed=12, capacity=40),  # 9-bit lanes, 7 a word
+    GeneratorParams(n=70, k=8, weight_max=3, seed=13, capacity=30),  # 8 lanes fill a word
+    GeneratorParams(n=70, k=9, weight_max=3, seed=14, capacity=40),  # one lane past a word
 ]
 
 # The shapes above number items 1..n in input order, so each new item has the
@@ -224,6 +229,8 @@ _SHUFFLED_ID_SHAPES = [
     (GeneratorParams(n=30, k=2, weight_max=2, seed=9, capacity=25), 2),
     (GeneratorParams(n=40, k=2, weight_max=1, seed=10, capacity=12), 3),  # all ties
     (GeneratorParams(n=24, k=4, weight_max=3, seed=11, capacity=30), 4),
+    (GeneratorParams(n=30, k=1, weight_max=2, seed=15, capacity=25), 5),
+    (GeneratorParams(n=130, k=8, weight_max=2, seed=16, capacity=30), 6),  # 2 lane, 3 witness words
 ]
 
 
@@ -278,13 +285,39 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
     # row by row: the same row in gives the same (L, off), comparisons and max_cell
     ids = sorted(item.id for item in inst.items)
     nw = -(-len(ids) // 64)
+    lane = len(ids).bit_length() + 1
+    ks = -(-inst.k // (64 // lane))
     W = min(inst.capacity, total_weight(ids, inst))
-    row = array("Q", [0]) * ((W + 1) * (inst.k + 1 + nw)), array("q", range(W + 2))
+    row = array("Q", [0]) * ((W + 1) * (ks + 1 + nw)), array("q", range(W + 2))
     for i, item in enumerate(inst.items):
-        args = (inst.k, nw, item.weight, item.level, ids.index(item.id))
+        args = (inst.k, lane, nw, item.weight, item.level, ids.index(item.id))
         got = kernel(row, *args)
         assert got == qknap.dp._row_kernel_py(row, *args), f"item {i}"
         row = got[0]
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256])
+@pytest.mark.parametrize(
+    "min_cells, backend",
+    [
+        pytest.param(1, "c-kernel", marks=needs_cc, id="c-kernel"),
+        pytest.param(10**12, "python", id="python"),
+    ],
+)
+def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
+    # Everything fits, so the frontier is one label holding every item, and its
+    # first suffix sum is n: the most a lane of n.bit_length() + 1 bits holds
+    # below its guard bit. The oracle cannot enumerate 2**n subsets.
+    rng = random.Random(n)
+    items = tuple(Item(i, 1, rng.randint(1, 8)) for i in range(1, n + 1))
+    inst = Instance(k=8, capacity=n + 5, items=items)
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", min_cells)
+    res = solve(inst)
+    assert res.stats.backend == backend
+    ids = tuple(range(1, n + 1))
+    assert [(lab.vector, lab.weight, lab.items) for lab in res.labels] == [
+        (rank_cardinality_vector(ids, inst), n, ids)
+    ]
 
 
 @needs_cc
@@ -300,11 +333,16 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 
 
 def _kernel_args():
-    """Arguments that fit: row 0 of a solve with k=2, nw=1, W=3 (4 records of 4 words)."""
+    """Arguments that fit: row 0 of a solve with k=2, n=3, W=3.
+
+    Lanes of 3 bits, 21 to a word: 4 records of one lane word, the weight
+    and one witness word.
+    """
     return dict(
-        L=array("Q", [0]) * 16,
+        L=array("Q", [0]) * 12,
         off=array("q", range(5)),
         k=2,
+        lane=3,
         nw=1,
         wt=1,
         level=1,
@@ -320,15 +358,19 @@ def _run_kernel(kernel, L, off, **scalars):
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(L=array("Q", [0]) * 15),
-        dict(L=array("q", [0]) * 16),
+        dict(L=array("Q", [0]) * 11),
+        dict(L=array("q", [0]) * 12),
         dict(off=array("q", [0, 1, 2, 3, 3])),
         dict(rank=64),
         dict(wt=2**64 - 1),  # ctypes passes it to C as -1
+        dict(lane=65),  # no lane fits a word: C would divide by zero
+        dict(lane=0),  # C would divide by zero
+        dict(level=3),  # the item would count in lanes past k
+        dict(level=-1),  # C would shift by a negative count
         # these pass every check of the wrapper; C must refuse them before it
         # reads or writes outside the row
-        dict(L=array("Q", [0]) * 12, off=array("q", [0, 3, 1, 3])),
-        dict(L=array("Q", [0]) * 12, off=array("q", [0, 5, 3])),
+        dict(L=array("Q", [0]) * 9, off=array("q", [0, 3, 1, 3])),
+        dict(L=array("Q", [0]) * 9, off=array("q", [0, 5, 3])),
     ],
     ids=[
         "short-L",
@@ -336,6 +378,10 @@ def _run_kernel(kernel, L, off, **scalars):
         "off-ends-short",
         "rank-beyond-nw-words",
         "weight-beyond-int64",
+        "lane-wider-than-a-word",
+        "lane-of-no-bits",
+        "level-beyond-k",
+        "negative-level",
         "non-monotonic-off",
         "off-beyond-the-row",
     ],
@@ -347,7 +393,8 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     assert kernel is not None, reason
     (L, off), comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
     # the item (weight 1, level 1) dominates the empty subset in every column x >= 1
-    assert list(L) == [0, 0, 0, 0] + [1, 0, 1, 1 << 63] * 3
+    # suffix sums (1, 0) in lanes 0 and 1, weight 1, rank 0 in bit 63
+    assert list(L) == [0, 0, 0] + [1, 1, 1 << 63] * 3
     assert list(off) == [0, 1, 2, 3, 4]
     assert (comparisons, max_cell) == (3, 1)
     (L_py, off_py), *counts = _run_kernel(qknap.dp._row_kernel_py, **_kernel_args())
@@ -372,6 +419,32 @@ def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
     finally:
         # the next call loads the kernel again, in the restored environment
         qknap.dp._load_row_kernel.cache_clear()
+
+
+def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
+    # Without a compiler on hand the load gives up at once: no build modules
+    # imported, nothing written to the cache. -S keeps site hooks, which may
+    # import modules of their own, out of the child.
+    cache = tmp_path / "cache"
+    script = (
+        "import sys; import qknap.dp; kernel, reason = qknap.dp._load_row_kernel(); "
+        'print(kernel is None, "subprocess" in sys.modules, "tempfile" in sys.modules); '
+        "print(reason)"
+    )
+    env = {
+        **os.environ,
+        "CC": "/nonexistent/cc",
+        "XDG_CACHE_HOME": str(cache),
+        "PYTHONPATH": str(Path(qknap.dp.__file__).parents[1]),
+    }
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    verdict, reason = run.stdout.splitlines()
+    assert verdict == "True False False"
+    assert "/nonexistent/cc" in reason
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 @needs_cc
@@ -436,6 +509,6 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path):
     assert "# backend=c-kernel" in run.stdout.splitlines()
     loaded = set(run.stderr.split())
     assert {"qknap.cli", "qknap.instance_io", "qknap.model", "qknap.dp", "ctypes"} <= loaded
-    unused = {"subprocess", "platform", "json", "fractions"}
+    unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
     unused |= {"qknap.greedy", "qknap.dominance", "qknap.oracle"}
     assert loaded & unused == set()
