@@ -11,18 +11,18 @@ lexicographically smallest id tuple. Reported cells never include the
 empty selection's all-zero label.
 
 A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
-uint64) holds one record of ks + 1 + nw words per label: the ks lane
-words, the weight, then the nw = ceil(n/64) witness words. Records
+uint64) holds one record of R = ks + 1 + nw words per label: the ks
+lane words, the weight, then the nw = ceil(n/64) witness words. Records
 off[x]:off[x+1] (off of typecode "q") belong to capacity x.
 
 The lane words hold the k suffix sums, which make dominance a plain
-componentwise comparison. Sum j sits in a lane of lane = n.bit_length()
-+ 1 bits, lane j % per of word j // per, at bit (j % per) * lane, with
-per = 64 // lane lanes to a word, so ks = ceil(k / per) and no lane
-straddles two words. A sum never exceeds n, so the top bit of each lane,
-its guard, stays clear, and extending a label adds one to the low bit of
-each of its first level lanes without a carry. With H the mask of a
-word's guard bits, a >= b holds in every lane of a word iff
+componentwise comparison. ``_lanes`` lays them out, and it alone: sum j
+sits in a lane of lane = n.bit_length() + 1 bits, lane j % per of word
+j // per, at bit (j % per) * lane, with per = 64 // lane lanes to a
+word, so ks = ceil(k / per) and no lane straddles two words. A sum never
+exceeds n, so the top bit of each lane, its guard, stays clear. With H
+the mask of a word's guard bits, a >= b holds in every lane of a word
+iff
 
     ((a | H) - b) & H == H
 
@@ -37,6 +37,14 @@ witnesses have the same size, and the one with the smaller sorted id
 tuple holds the least id of their symmetric difference, so its words
 compare larger as unsigned integers, word 0 first. That settles every
 tie in O(n/64), whatever the order in which items are swept.
+
+Extending a label by an item adds the item's record, which ``solve``
+builds once per item: one in the low bit of each of the first level
+lanes, the item's weight, and its rank's witness bit. The add is word by
+word and carries out of no word: a lane sum stays at most n under its
+guard, a weight at most x <= W < 2**63 in column x, and the witness bit
+is clear in every label of the previous row, because each item is swept
+once.
 
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
@@ -56,23 +64,28 @@ when no compiler runs or the cache is not writable, take the Python
 twin.
 ``SolveStats.backend`` names the kernel that ran.
 
-Both kernels take a row and one item and return the next row, the
-dominance comparisons made and max_cell, the size of the row's largest
-column: one row in, one row out. Per column they extend each label of
-column x - wt by the item once, then merge plain records, A (column x)
-first, and mark a dominated extension by setting its weight to 0, which
-no extension weighs. They know nothing of the zero label: ``solve``
-leaves it out of max_cell, and ``_cell_labels`` out of the reported
-cells. The C kernel gets the buffers' addresses as bare pointers, so
-its ctypes wrapper allocates the next row itself, room for two labels
-for every input label, and trims it to what C wrote; C allocates
-nothing. The wrapper checks first what C cannot: that L and off are
-``array``s of typecodes "Q" and "q", that a lane is 1 to 64 bits wide,
-that the item's level lies in 1..k, that L holds off[-1] records of
-ks + 1 + nw words, that the item weighs at least 1 and that its rank
-falls inside nw words, and raises ValueError before any C code runs if
-not. C checks each column's offsets when it reaches them and refuses
-(ValueError too) any that decrease or point past the row.
+Both kernels take a row, ks, the guard mask H of a lane word and the
+item's record, and return the next row, the comparisons and max_cell,
+the size of the row's largest column: one row in, one row out. Per
+column they extend each label of column x - wt by the item once, then
+merge plain records, A (column x) first, and mark a dominated extension
+by setting its weight to 0, which no extension weighs. An A record's
+scan ends at the first extension that covers it: the extensions are
+distinct and non-dominated, so it covers none of the rest. The
+comparisons count the A x B record pairs each column's merge takes up,
+an upper bound on the dominance tests run. The kernels know nothing of
+the zero label: ``solve`` leaves it out of max_cell, and
+``_cell_labels`` out of the reported cells. The C kernel gets the
+buffers' addresses as bare pointers, so its ctypes wrapper allocates the
+next row itself, room for two labels for every input label, and trims
+it to what C wrote; C allocates nothing. The wrapper checks first what C
+cannot: that L, off and the item are ``array``s of typecodes "Q", "q"
+and "Q", that ks leaves the item its weight and at least one witness
+word, that the item weighs at least 1 and less than 2**63, and that L
+holds off[-1] records of the item's length, and raises ValueError before
+any C code runs if not. C checks each column's offsets when it reaches
+them and refuses (ValueError too) any that decrease or point past the
+row.
 """
 
 from __future__ import annotations
@@ -132,14 +145,18 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     nw = -(-n // 64)
-    lane = n.bit_length() + 1  # a suffix sum never exceeds n: the top bit is a guard
-    lanes = _lanes(k, lane)
-    ks = lanes[0]
+    ks, H, _, where = lanes = _lanes(k, n)
+    R = ks + 1 + nw
     # row 0: the all-zero label (empty subset) in every column
-    row = _zeros("Q", (W + 1) * (ks + 1 + nw)), array("q", range(W + 2))
+    row = _zeros("Q", (W + 1) * R), array("q", range(W + 2))
     rows = [row]
     for item in inst.items:
-        row, comps, mc = kernel(row, k, lane, nw, item.weight, item.level, rank[item.id])
+        rec = _zeros("Q", R)  # what extending a label by the item adds
+        for q, shift in where[: item.level]:
+            rec[q] += 1 << shift
+        r = rank[item.id]
+        rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
+        row, comps, mc = kernel(row, ks, H, rec)
         stats.comparisons += comps
         # The zero label does not count. When every column holds one label, all
         # are zero labels exactly when the last record, column W's, weighs 0:
@@ -162,13 +179,13 @@ def _zeros(typecode: str, size: int) -> array:
 def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
     """Reported view of column x of a row: zero label stripped, canonical order.
 
-    ``lanes`` is the record layout ``_lanes(k, lane)``. ``ids`` lists the
+    ``lanes`` is the record layout ``_lanes(k, n)``. ``ids`` lists the
     item ids in rank order, which is ascending, so each witness comes out
     sorted.
     """
     L, off = row
     R = len(L) // off[-1]  # every column holds at least the zero label
-    ks, mask, where = lanes
+    ks, _, mask, where = lanes
     out = []
     for i in range(off[x] * R, off[x + 1] * R, R):
         weight = L[i + ks]
@@ -187,32 +204,34 @@ def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
     return tuple(out)
 
 
-def _lanes(k: int, lane: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """Record layout: ks lane words, one lane's mask, each suffix sum's (word, shift)."""
+def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """Record layout of k suffix sums of at most n: ``(ks, H, mask, where)``.
+
+    A sum sits in a lane of n.bit_length() + 1 bits, whose top bit is a
+    guard, 64 // that many lanes to a word: ks lane words in all. H is a
+    lane word's guard mask, mask one lane's, and where[j] the (word,
+    shift) of suffix sum j. ``solve`` encodes each item's record with
+    this table and ``_cell_labels`` decodes each reported label with it.
+    """
+    lane = n.bit_length() + 1
     per = 64 // lane
-    return -(-k // per), (1 << lane) - 1, [(j // per, j % per * lane) for j in range(k)]
+    H = sum(1 << (i * lane + lane - 1) for i in range(per))
+    return -(-k // per), H, (1 << lane) - 1, [(j // per, j % per * lane) for j in range(k)]
 
 
-def _row_kernel_py(row, k, lane, nw, wt, level, rank):
+def _row_kernel_py(row, ks, H, item):
     """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
     Same arguments and results as the C kernel's wrapper: ``(next_row,
     comparisons, max_cell)``. It reads a label's ks lane words as one
     integer, word q at bit 64q, and tests dominance on that with the guard
     bits of every word in ``HH``: no borrow crosses a lane, so the test
-    holds across words as it does within one, and adding the item's
-    increment words adds ``INC``.
+    holds across words as it does within one, and extending adds ``INC``.
     """
     L, off = row
-    per = 64 // lane
-    ks = -(-k // per)
-    R = ks + 1 + nw
-    ones = ((1 << per * lane) - 1) // ((1 << lane) - 1)  # bit 0 of every lane
-    full, part = level // per, ones & ((1 << level % per * lane) - 1)
-    inc = [ones if q < full else part if q == full else 0 for q in range(ks)]
-    INC = sum(v << 64 * q for q, v in enumerate(inc))
-    HH = sum(ones << (64 * q + lane - 1) for q in range(ks))
-    word, bit = ks + 1 + rank // 64, 1 << (63 - rank % 64)
+    R, wt = len(item), item[ks]
+    INC = sum(v << 64 * q for q, v in enumerate(item[:ks]))
+    HH = sum(H << 64 * q for q in range(ks))
     recs = [L[i : i + R].tolist() for i in range(0, len(L), R)]
     sums = L[0::R].tolist()
     for q in range(1, ks):
@@ -225,25 +244,20 @@ def _row_kernel_py(row, k, lane, nw, wt, level, rank):
         A = zip(recs[off[x] : off[x + 1]], sums[off[x] : off[x + 1]])
         B = range(off[x - wt], off[x - wt + 1]) if x >= wt else ()  # else the cell carries over
         comparisons += (off[x + 1] - off[x]) * len(B)
-        ext = [
-            list(map(add, recs[i][:ks], inc)) + [recs[i][ks] + wt] + recs[i][ks + 1 :] for i in B
-        ]
-        for e in ext:
-            e[word] |= bit
+        ext = [list(map(add, recs[i], item)) for i in B]
         ext_sums = [sums[i] + INC for i in B]
         for a, sa in A:
-            kill_a = False
-            for e, sb in zip(ext, ext_sums):
+            for e, sb in zip(ext, ext_sums):  # an a that one e covers covers no other
                 if sa == sb:  # equal vectors: the lighter, then the larger witness words
                     if a[ks] < e[ks] or (a[ks] == e[ks] and a[ks + 1 :] > e[ks + 1 :]):
                         e[ks] = 0
                     else:
-                        kill_a = True
+                        break
                 elif ((sb | HH) - sa) & HH == HH:
-                    kill_a = True
+                    break
                 elif ((sa | HH) - sb) & HH == HH:
                     e[ks] = 0  # marked dominated: no extension weighs 0
-            if not kill_a:
+            else:
                 L_out.extend(a)
         for e in ext:
             if e[ks]:
@@ -316,29 +330,28 @@ def _load_row_kernel():
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
     except OSError as exc:
         return None, f"cannot load {lib}: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 3
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_uint64]
+    fn.argtypes += [ctypes.c_void_p] * 4
     fn.restype = ctypes.c_int
 
-    def kernel(row, k, lane, nw, wt, level, rank):
+    def kernel(row, ks, H, item):
         # The C side reads and writes through bare pointers, unchecked: off[-1]
-        # records of ks + 1 + nw words in, up to that many kept and extended out.
+        # records of len(item) words in, up to twice that many out.
         L, off = row
         if not (
-            all(isinstance(b, array) for b in row)
-            and L.typecode + off.typecode == "Qq"
-            and 1 <= lane <= 64  # at least one lane to a word
-            and 1 <= level <= k
-            and 1 <= wt < 1 << 63  # weight 0 marks the dominated; ctypes would wrap 2**63 and up
+            all(isinstance(b, array) for b in (L, off, item))
+            and L.typecode + off.typecode + item.typecode == "QqQ"
+            and 0 <= ks < len(item) - 1  # the weight, then at least one witness word
+            and 1 <= item[ks] < 1 << 63  # weight 0 marks the dominated; C reads it as int64
             and len(off) >= 2
             and off[0] == 0
-            and len(L) == off[-1] * (R := -(-k // (64 // lane)) + 1 + nw)
-            and 0 <= rank < 64 * nw
+            and len(L) == off[-1] * (R := len(item))
         ):
             raise ValueError("row kernel buffers do not fit the row")
         L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off))
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
-        addr = [b.buffer_info()[0] for b in (L, off, L_o, off_o, out)]
-        rc = fn(*addr[:2], len(off) - 1, k, lane, nw, wt, level, rank, *addr[2:])
+        addr = [b.buffer_info()[0] for b in (L, off, item, L_o, off_o, out)]
+        rc = fn(*addr[:2], len(off) - 1, R, ks, H, *addr[2:])
         if rc != 0:
             raise ValueError("row kernel buffers do not fit the row")  # off decreases
         pos, comparisons, max_cell = out

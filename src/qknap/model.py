@@ -102,9 +102,13 @@ class SolveStats:
     two implementations of the DP row kernel, ``"oracle"`` for
     brute-force enumeration, which counts no comparisons. Given the same
     input and backend, only wall_time varies between runs; both kernels
-    give the same counters. Each field, in this order, is printed after
-    the label count as one ``# name=value`` stats line and one ``--json``
-    stats key (see ``qknap.instance_io``).
+    give the same counters. ``comparisons`` counts the A x B record pairs
+    each column's merge takes up: every label of cell (i-1, x) against
+    every extension of cell (i-1, x - w_i). That bounds the dominance
+    tests run from above, since a label's scan ends at the first
+    extension that covers it. Each field, in this order, is printed
+    after the label count as one ``# name=value`` stats line and one
+    ``--json`` stats key (see ``qknap.instance_io``).
     """
 
     cells: int = 0

@@ -282,18 +282,19 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
         fast.stats.max_cell,
         fast.stats.comparisons,
     )
-    # row by row: the same row in gives the same (L, off), comparisons and max_cell
-    ids = sorted(item.id for item in inst.items)
-    nw = -(-len(ids) // 64)
-    lane = len(ids).bit_length() + 1
-    ks = -(-inst.k // (64 // lane))
-    W = min(inst.capacity, total_weight(ids, inst))
-    row = array("Q", [0]) * ((W + 1) * (ks + 1 + nw)), array("q", range(W + 2))
-    for i, item in enumerate(inst.items):
-        args = (inst.k, lane, nw, item.weight, item.level, ids.index(item.id))
+    # row by row: each row solve hands the twin goes through the C kernel too
+    twin, rows = qknap.dp._row_kernel_py, []
+
+    def both(row, *args):
         got = kernel(row, *args)
-        assert got == qknap.dp._row_kernel_py(row, *args), f"item {i}"
-        row = got[0]
+        assert got == twin(row, *args), f"item {len(rows)}"
+        rows.append(got)
+        return got
+
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
+    monkeypatch.setattr(qknap.dp, "_row_kernel_py", both)
+    assert solve(inst).labels == ref.labels
+    assert len(rows) == len(inst.items)
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
@@ -323,7 +324,9 @@ def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
 @needs_cc
 def test_row_kernel_compiles_without_warnings(tmp_path):
     source = Path(qknap.dp.__file__).with_name("_rowkernel.c")
-    argv = [*qknap.dp._compiler(), "-Wall", "-Wextra", "-Werror", *qknap.dp._CFLAGS]
+    # the kernel is built by whatever cc a user has: keep it to standard C99
+    argv = [*qknap.dp._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
+    argv += qknap.dp._CFLAGS
     run = subprocess.run(
         [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
         capture_output=True,
@@ -333,25 +336,23 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 
 
 def _kernel_args():
-    """Arguments that fit: row 0 of a solve with k=2, n=3, W=3.
+    """Arguments that fit: row 0 of a solve with k=2, n=3, W=3, and item 1.
 
     Lanes of 3 bits, 21 to a word: 4 records of one lane word, the weight
-    and one witness word.
+    and one witness word. The item (weight 1, level 1, rank 0) adds 1 to
+    lane 0, its weight and bit 63 of the witness word.
     """
     return dict(
         L=array("Q", [0]) * 12,
         off=array("q", range(5)),
-        k=2,
-        lane=3,
-        nw=1,
-        wt=1,
-        level=1,
-        rank=0,
+        ks=1,
+        H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
+        item=array("Q", [1, 1, 1 << 63]),
     )
 
 
-def _run_kernel(kernel, L, off, **scalars):
-    return kernel((L, off), **scalars)
+def _run_kernel(kernel, L, off, **args):
+    return kernel((L, off), **args)
 
 
 @needs_cc
@@ -361,12 +362,11 @@ def _run_kernel(kernel, L, off, **scalars):
         dict(L=array("Q", [0]) * 11),
         dict(L=array("q", [0]) * 12),
         dict(off=array("q", [0, 1, 2, 3, 3])),
-        dict(rank=64),
-        dict(wt=2**64 - 1),  # ctypes passes it to C as -1
-        dict(lane=65),  # no lane fits a word: C would divide by zero
-        dict(lane=0),  # C would divide by zero
-        dict(level=3),  # the item would count in lanes past k
-        dict(level=-1),  # C would shift by a negative count
+        dict(item=array("Q", [1, 2**64 - 1, 1 << 63])),  # C reads it as int64 -1
+        dict(ks=3),
+        dict(ks=2),  # C compares witness words past the weight on a tie
+        dict(item=array("q", [1, 1, -(1 << 63)])),
+        dict(item=array("Q", [1, 1])),
         # these pass every check of the wrapper; C must refuse them before it
         # reads or writes outside the row
         dict(L=array("Q", [0]) * 9, off=array("q", [0, 3, 1, 3])),
@@ -376,12 +376,11 @@ def _run_kernel(kernel, L, off, **scalars):
         "short-L",
         "signed-L",
         "off-ends-short",
-        "rank-beyond-nw-words",
         "weight-beyond-int64",
-        "lane-wider-than-a-word",
-        "lane-of-no-bits",
-        "level-beyond-k",
-        "negative-level",
+        "ks-beyond-the-item",
+        "item-without-witness-words",
+        "signed-item",
+        "item-one-word-short",
         "non-monotonic-off",
         "off-beyond-the-row",
     ],
@@ -392,8 +391,8 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     kernel, reason = qknap.dp._load_row_kernel()
     assert kernel is not None, reason
     (L, off), comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
-    # the item (weight 1, level 1) dominates the empty subset in every column x >= 1
-    # suffix sums (1, 0) in lanes 0 and 1, weight 1, rank 0 in bit 63
+    # the item dominates the empty subset in every column x >= 1: suffix sums
+    # (1, 0) in lanes 0 and 1, weight 1, rank 0 in bit 63
     assert list(L) == [0, 0, 0] + [1, 1, 1 << 63] * 3
     assert list(off) == [0, 1, 2, 3, 4]
     assert (comparisons, max_cell) == (3, 1)
