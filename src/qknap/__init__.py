@@ -39,6 +39,7 @@ _SOURCE = {
     "SplitMix64": "instance_io",
     "generate_instance": "instance_io",
     "parse_instance": "instance_io",
+    "read_instance": "instance_io",
     "serialize_frontier": "instance_io",
     "serialize_instance": "instance_io",
     "FrontierResult": "model",

@@ -3,9 +3,10 @@
 Subcommands: solve (exact frontier), greedy (one efficient-ish
 solution), enumerate (brute-force oracle), gen (deterministic random
 instances), check (dominance verdict between two subsets), bench
-(CSV sweep). Results go to stdout, diagnostics to stderr. solve,
-enumerate and greedy write what ``qknap.instance_io`` formats; check and
-bench format their own reports.
+(CSV sweep). Results go to stdout, diagnostics to stderr. Instance
+files are read by ``qknap.instance_io.read_instance``; solve, enumerate
+and greedy write what ``qknap.instance_io`` formats; check and bench
+format their own reports.
 
 Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 3 resource guard: enumeration guard tripped or out of memory.
@@ -22,11 +23,10 @@ from typing import TYPE_CHECKING
 
 from .instance_io import (
     GeneratorParams,
-    ParseError,
     format_vector,
     frontier_json,
     generate_instance,
-    parse_instance,
+    read_instance,
     serialize_frontier,
     serialize_greedy,
     serialize_instance,
@@ -49,25 +49,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_instance(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read '{path}': {exc.strerror}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number the line as parse_instance would: the same splitlines breaks
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise ParseError(line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
-    return parse_instance(text)
-
-
 def _cmd_solve(args) -> int:
     from .dp import solve
 
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     result = solve(inst, keep_matrix=args.matrix)
     sys.stdout.write(frontier_json(result) if args.json else serialize_frontier(result))
     return EXIT_OK
@@ -76,7 +61,7 @@ def _cmd_solve(args) -> int:
 def _cmd_greedy(args) -> int:
     from .greedy import greedy_r, greedy_w
 
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     result = greedy_r(inst) if args.mode == "r" else greedy_w(inst)
     sys.stdout.write(serialize_greedy(result))
     return EXIT_OK
@@ -85,7 +70,7 @@ def _cmd_greedy(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .oracle import OracleGuardError, enumerate_frontier
 
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     try:
         result = enumerate_frontier(inst, force=args.force)
     except OracleGuardError as exc:
@@ -120,7 +105,7 @@ def _parse_id_list(text: str) -> frozenset[int]:
 def _cmd_check(args) -> int:
     from .dominance import evaluate, falsification_witness, suffix_sums, weakly_dominates
 
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     sub_a = _parse_id_list(args.a)
     sub_b = _parse_id_list(args.b)
     ga = rank_cardinality_vector(sub_a, inst)
@@ -146,8 +131,7 @@ def _cmd_check(args) -> int:
     print(f"suffix_b={format_vector(suffix_sums(gb))}")
     if args.witness and not a_over_b:
         witness = falsification_witness(ga, gb, len(inst.items))
-        values = "(" + ",".join(str(v) for v in witness.values) + ")"
-        print(f"witness={values}")
+        print(f"witness={format_vector(witness.values)}")
         print(f"witness_value_a={evaluate(witness, ga)}")
         print(f"witness_value_b={evaluate(witness, gb)}")
     return EXIT_OK

@@ -132,30 +132,20 @@ def pareto_filter(labels: Iterable[L]) -> list[L]:
     """Reduce labels to the non-dominated ones, one per distinct vector.
 
     Among labels with equal vectors the minimal-weight one survives,
-    ties broken by lexicographically smallest id tuple. The result is in
-    canonical frontier order. Reference implementation by pairwise
-    suffix-sum tests; quadratic and meant for modest inputs.
+    ties broken by lexicographically smallest id tuple. Of those, each
+    label that no other one ``weakly_dominates`` is kept, in canonical
+    frontier order. Reference implementation by pairwise tests;
+    quadratic and meant for modest inputs.
     """
     best: dict[RankVector, L] = {}
-    k = None
     for lab in labels:
-        if k is None:
-            k = len(lab.vector)
-        elif len(lab.vector) != k:
-            raise ValueError(f"mismatched level counts: {len(lab.vector)} != {k}")
         cur = best.get(lab.vector)
         if cur is None or (lab.weight, lab.items) < (cur.weight, cur.items):
             best[lab.vector] = lab
-    unique = list(best.values())
-    suffixes = [suffix_sums(lab.vector) for lab in unique]
-    kept = []
-    for i, lab in enumerate(unique):
-        si = suffixes[i]
-        dominated = any(
-            j != i and all(a >= b for a, b in zip(suffixes[j], si))
-            for j in range(len(unique))
-        )
-        if not dominated:
-            kept.append(lab)
+    kept = [
+        lab
+        for lab in best.values()
+        if not any(o is not lab and weakly_dominates(o.vector, lab.vector) for o in best.values())
+    ]
     kept.sort(key=canonical_key)
     return kept

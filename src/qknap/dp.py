@@ -75,17 +75,21 @@ distinct and non-dominated, so it covers none of the rest. The
 comparisons count the A x B record pairs each column's merge takes up,
 an upper bound on the dominance tests run. The kernels know nothing of
 the zero label: ``solve`` leaves it out of max_cell, and
-``_cell_labels`` out of the reported cells. The C kernel gets the
-buffers' addresses as bare pointers, so its ctypes wrapper allocates the
-next row itself, room for two labels for every input label, and trims
-it to what C wrote; C allocates nothing. The wrapper checks first what C
-cannot: that L, off and the item are ``array``s of typecodes "Q", "q"
-and "Q", that ks leaves the item its weight and at least one witness
-word, that the item weighs at least 1 and less than 2**63, and that L
-holds off[-1] records of the item's length, and raises ValueError before
-any C code runs if not. C checks each column's offsets when it reaches
-them and refuses (ValueError too) any that decrease or point past the
-row.
+``_cell_labels`` out of the reported cells. Every nonzero label
+dominates it, so a column keeps it only while no item swept so far fits
+there, and then holds nothing else: the kernels' max_cell counts it
+only when every column holds it alone, which is when the frontier is
+empty, and ``solve`` checks that once, after the sweep. The C kernel
+gets the buffers' addresses as bare pointers, so its ctypes wrapper
+allocates the next row itself, room for two labels for every input
+label, and trims it to what C wrote; C allocates nothing. The wrapper
+checks first what C cannot: that L, off and the item are ``array``s of
+typecodes "Q", "q" and "Q", that ks leaves the item its weight and at
+least one witness word, that the item weighs at least 1 and less than
+2**63, and that L holds off[-1] records of the item's length, and raises
+ValueError before any C code runs if not. C checks each column's offsets
+when it reaches them and refuses (ValueError too) any that decrease or
+point past the row.
 """
 
 from __future__ import annotations
@@ -158,13 +162,12 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
         row, comps, mc = kernel(row, ks, H, rec)
         stats.comparisons += comps
-        # The zero label does not count. When every column holds one label, all
-        # are zero labels exactly when the last record, column W's, weighs 0:
-        # column W holds a nonzero label whenever any column does.
-        stats.max_cell = max(stats.max_cell, mc if mc > 1 or row[0][-1 - nw] else 0)
+        stats.max_cell = max(stats.max_cell, mc)
         if keep_matrix:
             rows.append(row)
     labels = _cell_labels(row, W, lanes, ids)
+    if not labels:  # every column held only the zero label, which does not count
+        stats.max_cell = 0
     matrix = None
     if keep_matrix:
         matrix = tuple(tuple(_cell_labels(r, x, lanes, ids) for x in range(W + 1)) for r in rows)

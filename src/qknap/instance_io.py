@@ -9,6 +9,8 @@ ignored:
     items <n>
     <id> <weight> <level>        (n lines, items in canonical order)
 
+``read_instance`` reads such a file and ``parse_instance`` its text.
+
 Every format a solver result is printed in lives here, and the CLI
 only writes what these functions return:
 
@@ -31,7 +33,7 @@ from dataclasses import asdict, dataclass
 from math import ceil
 from typing import TYPE_CHECKING, Iterable
 
-from .model import FrontierResult, Instance, Item, RankVector
+from .model import FrontierResult, Instance, Item
 
 if TYPE_CHECKING:  # named in annotations only, which are never evaluated
     from fractions import Fraction
@@ -46,6 +48,7 @@ __all__ = [
     "frontier_json",
     "generate_instance",
     "parse_instance",
+    "read_instance",
     "serialize_frontier",
     "serialize_greedy",
     "serialize_instance",
@@ -143,8 +146,7 @@ def parse_instance(text: str) -> Instance:
 
     def take(idx: int, keyword: str) -> tuple[int, list[str]]:
         if idx >= len(fields):
-            last = fields[-1][0] if fields else 1
-            raise ParseError(last, f"unexpected end of file; expected '{keyword}'")
+            raise ParseError(fields[-1][0], f"unexpected end of file; expected '{keyword}'")
         lineno, toks = fields[idx]
         if toks[0] != keyword:
             raise ParseError(lineno, f"expected '{keyword}', found '{toks[0]}'")
@@ -188,6 +190,26 @@ def parse_instance(text: str) -> Instance:
     return Instance(k=k, capacity=capacity, items=tuple(items))
 
 
+def read_instance(path: str) -> Instance:
+    """Read and parse the instance file at ``path``.
+
+    An unreadable file raises ValueError; bytes that are not UTF-8 raise
+    ParseError on the line ``parse_instance`` would give them.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read '{path}': {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the same splitlines breaks as parse_instance's
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not UTF-8 text: byte 0x{data[exc.start]:02x}") from None
+    return parse_instance(text)
+
+
 def serialize_instance(inst: Instance) -> str:
     """Canonical text form: no comments, items in input order, trailing newline."""
     lines = [
@@ -200,7 +222,7 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_vector(g: RankVector) -> str:
+def format_vector(g: Iterable[int | Fraction]) -> str:
     return "(" + ",".join(str(c) for c in g) + ")"
 
 

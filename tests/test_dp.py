@@ -5,6 +5,7 @@ import subprocess
 import sys
 from array import array
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from qknap import (
     GeneratorParams,
     Instance,
     Item,
+    Label,
     enumerate_frontier,
     generate_instance,
     label_bound,
@@ -87,15 +89,21 @@ def test_solve_zero_capacity(table1):
     heavy = Instance(
         k=4, capacity=2, items=tuple(replace(it, weight=it.weight + 2) for it in table1.items)
     )
-    for min_cells in (1, 10**12):  # C kernel forced on, then off
+    # the first item fits no column, the second fits columns 1 and 2
+    late = Instance(k=2, capacity=2, items=(Item(1, 5, 1), Item(2, 1, 2)))
+    for min_cells, keep in product((1, 10**12), (False, True)):  # C kernel forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             for inst in (zero, heavy):
-                res = solve(inst)
+                res = solve(inst, keep_matrix=keep)
                 assert res.labels == ()
                 # the zero label is not reported, so it never counts toward a cell's size
-                assert res.stats.max_cell == 0, (min_cells, inst.capacity)
+                assert res.stats.max_cell == 0, (min_cells, keep, inst.capacity)
             # one item: every column holds one label, the zero label or the item
-            assert solve(replace(zero, capacity=2, items=zero.items[:1])).stats.max_cell == 1
+            one = replace(zero, capacity=2, items=zero.items[:1])
+            assert solve(one, keep_matrix=keep).stats.max_cell == 1
+            res = solve(late, keep_matrix=keep)
+            assert res.labels == (Label((0, 1), 1, (2,)),)
+            assert res.stats.max_cell == 1, (min_cells, keep)
 
 
 def test_solve_empty_instance():
@@ -402,15 +410,32 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
         _run_kernel(kernel, **{**_kernel_args(), **bad})
 
 
-def test_without_a_compiler_solve_runs_the_python_kernel(tmp_path, monkeypatch):
-    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+@pytest.mark.parametrize(
+    "cc, cache_is_a_file, reason",
+    [
+        ("{tmp}/no-such-cc", False, "no C compiler {tmp}/no-such-cc to build "),
+        # the compiler runs in a new cache directory, and fails
+        ("false", False, "false failed (exit 1): "),
+        ("false", True, "kernel cache {tmp}/cache/qknap is not writable: "),
+    ],
+    ids=["no-compiler", "compiler-fails", "cache-not-writable"],
+)
+def test_when_no_kernel_builds_solve_runs_the_python_kernel(
+    tmp_path, monkeypatch, cc, cache_is_a_file, reason
+):
+    cache = tmp_path / "cache"
+    if cache_is_a_file:
+        cache.write_text("")
+    monkeypatch.setenv("CC", cc.format(tmp=tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
     qknap.dp._load_row_kernel.cache_clear()
     try:
-        kernel, reason = qknap.dp._load_row_kernel()
+        kernel, why = qknap.dp._load_row_kernel()
         assert kernel is None
-        assert "no-such-cc" in reason
+        assert why.startswith(reason.format(tmp=tmp_path)), why
+        builds = cache / "qknap"
+        assert not builds.is_dir() or not any(builds.iterdir())  # no temp file left behind
         inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
         res = solve(inst)
         assert res.stats.backend == "python"

@@ -1,3 +1,5 @@
+import os
+import tempfile
 from fractions import Fraction
 from math import ceil
 
@@ -15,6 +17,7 @@ from qknap import (
     SplitMix64,
     generate_instance,
     parse_instance,
+    read_instance,
     serialize_frontier,
     serialize_instance,
     solve,
@@ -93,6 +96,55 @@ def test_parse_raises_only_parse_errors(header, lines):
         parse_instance("\n".join((*header, *lines)))
     except (ParseError, InvalidInstanceError):
         pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # module-scoped: hypothesis refuses function-scoped fixtures
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _new_file(directory, data: bytes) -> str:
+    # a new file per example: ext4 writes a file that is rewritten in place out to
+    # disk on close, which takes tens of milliseconds
+    fd, path = tempfile.mkstemp(dir=directory, suffix=".qknap")
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+_BYTES_LINE = st.one_of(_LINE.map(str.encode), st.binary(max_size=12))
+
+
+@settings(max_examples=500)
+@given(
+    st.tuples(*(_keyword_line(kw).map(str.encode) for kw in _KEYWORDS))
+    | st.tuples(*[_BYTES_LINE] * 4),
+    st.lists(_BYTES_LINE, max_size=8),
+)
+def test_read_instance_raises_only_parse_errors(fuzz_dir, header, lines):
+    path = _new_file(fuzz_dir, b"\n".join((*header, *lines)))
+    try:
+        read_instance(path)
+    except (ParseError, InvalidInstanceError):
+        pass
+
+
+# comment text that splitlines never breaks
+_COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+
+
+@given(instances(), st.data())
+def test_read_instance_numbers_a_non_utf8_line(fuzz_dir, inst, data):
+    lines = serialize_instance(inst).encode().splitlines()
+    j = data.draw(st.integers(1, len(lines)))
+    lines[j - 1] += b" # " + data.draw(_COMMENT).encode() + b"\xff"
+    # any line break parse_instance's splitlines knows, so the numbering must be its own
+    eol = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    path = _new_file(fuzz_dir, eol.join(lines) + eol)
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as info:
+        read_instance(path)
+    assert info.value.line == j
 
 
 def test_parse_validates_invariants():
