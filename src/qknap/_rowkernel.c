@@ -6,6 +6,10 @@
  * R words (ks lane words, the weight, the witness words), the lanes and
  * the witness bit sets.
  *
+ * The six buffers come first: the row (L, off), the item's record, the
+ * next row (L_o, off_o) and out. Then the scalars: W1 columns, R words
+ * a record, ks lane words and the guard mask H of a lane word.
+ *
  * The top bit of each lane is a guard, clear in every record, and H
  * marks the guard bits of a lane word. a >= b holds lane by lane in a
  * word iff ((a | H) - b) & H == H: each lane computes a + 2^(lane-1) - b,
@@ -32,10 +36,10 @@
 #include <stdint.h>
 #include <string.h>
 
-int qknap_row_kernel(const uint64_t *L, const int64_t *off, int64_t W1,
-                     int64_t R, int64_t ks, uint64_t H,
+int qknap_row_kernel(const uint64_t *L, const int64_t *off,
                      const uint64_t *item, uint64_t *L_o, int64_t *off_o,
-                     int64_t *out)
+                     int64_t *out, int64_t W1, int64_t R, int64_t ks,
+                     uint64_t H)
 {
     int64_t wt = (int64_t)item[ks], pos = 0, comparisons = 0, max_cell = 0;
     size_t size = R * sizeof(uint64_t);

@@ -151,32 +151,27 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from itertools import product
+
     from .dp import label_bound, solve
 
-    if (args.capacity is None) == (args.ratio is None):
-        return _fail("bench needs exactly one of --capacity or --ratio", EXIT_INPUT)
-    caps = args.capacity if args.capacity is not None else args.ratio
+    key = "capacity" if args.capacity is not None else "ratio"
+    # the whole sweep's parameters are checked before the CSV header is printed
+    sweep = [
+        GeneratorParams(n=n, k=k, weight_max=wmax, seed=seed, **{key: cap})
+        for n, k, cap, seed, wmax in product(
+            args.n, args.k, getattr(args, key), range(1, args.seeds + 1), args.wmax
+        )
+    ]
     print("n,k,W,seed,frontier_size,max_cell,label_bound,comparisons,wall_time")
-    for n in args.n:
-        for k in args.k:
-            for cap in caps:
-                for seed in range(1, args.seeds + 1):
-                    for wmax in args.wmax:
-                        params = GeneratorParams(
-                            n=n,
-                            k=k,
-                            weight_max=wmax,
-                            seed=seed,
-                            capacity=cap if args.capacity is not None else None,
-                            ratio=cap if args.ratio is not None else None,
-                        )
-                        inst = generate_instance(params)
-                        result = solve(inst)
-                        print(
-                            f"{n},{k},{inst.capacity},{seed},{len(result.labels)},"
-                            f"{result.stats.max_cell},{label_bound(k, n)},"
-                            f"{result.stats.comparisons},{result.stats.wall_time:.6f}"
-                        )
+    for params in sweep:
+        inst = generate_instance(params)
+        result = solve(inst)
+        print(
+            f"{params.n},{params.k},{inst.capacity},{params.seed},{len(result.labels)},"
+            f"{result.stats.max_cell},{label_bound(params.k, params.n)},"
+            f"{result.stats.comparisons},{result.stats.wall_time:.6f}"
+        )
     return EXIT_OK
 
 
@@ -210,8 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a deterministic random instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--ratio", type=_ratio, help="capacity = ceil(ratio * total weight)")
+    cap = p.add_mutually_exclusive_group(required=True)
+    cap.add_argument("--capacity", type=int)
+    cap.add_argument("--ratio", type=_ratio, help="capacity = ceil(ratio * total weight)")
     p.add_argument("--wmax", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_gen)
@@ -226,8 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV sweep over generated instances")
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     p.add_argument("--k", type=_int_list, required=True)
-    p.add_argument("--capacity", type=_int_list)
-    p.add_argument("--ratio", type=lambda s: [_ratio(t) for t in s.split(",")])
+    cap = p.add_mutually_exclusive_group(required=True)
+    cap.add_argument("--capacity", type=_int_list)
+    cap.add_argument("--ratio", type=lambda s: [_ratio(t) for t in s.split(",")])
     p.add_argument("--wmax", type=_int_list, required=True)
     p.add_argument("--seeds", type=int, required=True, help="use seeds 1..N")
     p.set_defaults(func=_cmd_bench)

@@ -59,10 +59,11 @@ builds its own copy. Later processes load the cached file, which takes
 ctypes and importlib.util (which ``python -m`` has already imported)
 only: the compiler toolchain (shutil, subprocess, tempfile) is
 imported only to build, and a compiler that is not there is found
-missing before anything is written. Smaller solves, and every solve
-when no compiler runs or the cache is not writable, take the Python
-twin.
-``SolveStats.backend`` names the kernel that ran.
+missing before anything is written. A build compiles into a temporary
+directory inside the cache and is renamed into place. Smaller solves,
+and every solve when no compiler is found, the compiler fails, or an
+OSError or a missing home directory stops the build or the load, take
+the Python twin. ``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row, ks, the guard mask H of a lane word and the
 item's record, and return the next row, the comparisons and max_cell,
@@ -285,8 +286,11 @@ def _load_row_kernel():
 
     ``kernel`` is None when it cannot be had, and every solve then runs
     ``_row_kernel_py``; ``reason`` names the shared object that loaded,
-    or why none did. ``_load_row_kernel.cache_clear()`` makes the next
-    call try again.
+    or why none did: no compiler found, the compiler failed (with the
+    tail of its stderr), or ``no C row kernel: ...`` with the OSError
+    met on the way, or the RuntimeError of a home directory that cannot
+    be found. ``_load_row_kernel.cache_clear()`` makes the next call try
+    again.
     """
     # Imported here so that solves below the kernel threshold never pay for them;
     # the build's modules are imported only when there is something to build.
@@ -294,47 +298,34 @@ def _load_row_kernel():
     import importlib.util
 
     source = Path(__file__).with_name("_rowkernel.c")
-    try:
-        text = source.read_bytes()
-    except OSError as exc:
-        return None, f"kernel source unreadable: {exc}"
-    # A build for another compiler, such as a sanitizer's, must not be loaded.
     cc = _compiler()
-    key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode() + b"\0" + text
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
-    lib = cache / f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
-    if not lib.exists():
-        import shutil
-
-        if shutil.which(cc[0]) is None:
-            return None, f"no C compiler {shlex.join(cc)} to build {lib.name}"
-        import subprocess
-        import tempfile
-
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=lib.name, suffix=".tmp")
-            os.close(fd)
-        except OSError as exc:
-            return None, f"kernel cache {cache} is not writable: {exc}"
-        try:
-            argv = [*cc, *_CFLAGS, "-o", tmp, str(source)]
-            run = subprocess.run(argv, capture_output=True, text=True)
-            if run.returncode != 0:
-                err = run.stderr.strip()[-400:]
-                return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
-            os.replace(tmp, lib)  # atomic: a concurrent process never loads a half-written file
-        except OSError as exc:
-            return None, f"{shlex.join(cc)} could not build {lib}: {exc}"
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
     try:
+        # A build for another compiler, such as a sanitizer's, must not be loaded.
+        key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode()
+        key += b"\0" + source.read_bytes()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
+        lib = cache / f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
+        if not lib.exists():
+            import shutil
+
+            if shutil.which(cc[0]) is None:
+                return None, f"no C compiler {shlex.join(cc)} to build {lib.name}"
+            import subprocess
+            import tempfile
+
+            cache.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                built = os.path.join(tmp, lib.name)
+                argv = [*cc, *_CFLAGS, "-o", built, str(source)]
+                run = subprocess.run(argv, capture_output=True, text=True)
+                if run.returncode != 0:
+                    err = run.stderr.strip()[-400:]
+                    return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
+                os.replace(built, lib)  # atomic on one filesystem: none loads a half-written file
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
-    except OSError as exc:
-        return None, f"cannot load {lib}: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 3 + [ctypes.c_uint64]
-    fn.argtypes += [ctypes.c_void_p] * 4
+    except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() finds no home
+        return None, f"no C row kernel: {exc}"
+    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + [ctypes.c_uint64]
     fn.restype = ctypes.c_int
 
     def kernel(row, ks, H, item):
@@ -354,8 +345,7 @@ def _load_row_kernel():
         L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off))
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
         addr = [b.buffer_info()[0] for b in (L, off, item, L_o, off_o, out)]
-        rc = fn(*addr[:2], len(off) - 1, R, ks, H, *addr[2:])
-        if rc != 0:
+        if fn(*addr, len(off) - 1, R, ks, H) != 0:
             raise ValueError("row kernel buffers do not fit the row")  # off decreases
         pos, comparisons, max_cell = out
         del L_o[pos * R :]

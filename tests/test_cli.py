@@ -240,13 +240,18 @@ def test_bench_deterministic_except_wall_time():
 
 
 def test_bench_requires_capacity_or_ratio():
-    proc = run_cli("bench", "--n", "4", "--k", "2", "--wmax", "3", "--seeds", 1)
-    assert proc.returncode == 2
-    zero = run_cli(
-        "bench", "--n", "4", "--k", "2", "--ratio", "1/0", "--wmax", "3", "--seeds", 1
-    )
-    assert zero.returncode == 2
-    assert "Traceback" not in zero.stderr
+    base = ("bench", "--n", "4,5", "--wmax", "3", "--seeds", 2)
+    for bad in [
+        ("--k", "2"),
+        ("--k", "2", "--capacity", "5", "--ratio", "1/2"),
+        ("--k", "2", "--ratio", "1/0"),
+        ("--k", "2", "--ratio", "3/2"),
+        ("--k", "2,0", "--capacity", "5"),  # the bad k comes last in the sweep
+    ]:
+        proc = run_cli(*base, *bad)
+        assert proc.returncode == 2, bad
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "", bad  # refused before the CSV header
 
 
 def test_bench_ratio_mode():

@@ -1,4 +1,5 @@
 import os
+import pwd
 import random
 import shutil
 import subprocess
@@ -31,6 +32,11 @@ from qknap import (
     solve,
     total_weight,
 )
+
+# The backend a solve forced onto the C kernel (_KERNEL_MIN_CELLS = 0) runs: with
+# a compiler on hand it must be C, or the oracle checks below would compare the
+# Python twin with itself.
+C_BACKEND = "c-kernel" if shutil.which(qknap.dp._compiler()[0]) else "python"
 
 # Expected DP table for the four-item staircase instance: cell vectors for
 # i=0..4 (rows) by x=0..6 (columns), zero label stripped, canonical order.
@@ -91,11 +97,13 @@ def test_solve_zero_capacity(table1):
     )
     # the first item fits no column, the second fits columns 1 and 2
     late = Instance(k=2, capacity=2, items=(Item(1, 5, 1), Item(2, 1, 2)))
-    for min_cells, keep in product((1, 10**12), (False, True)):  # C kernel forced on, then off
+    forced = ((0, C_BACKEND), (10**12, "python"))  # C kernel forced on, then off
+    for (min_cells, backend), keep in product(forced, (False, True)):
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             for inst in (zero, heavy):
                 res = solve(inst, keep_matrix=keep)
                 assert res.labels == ()
+                assert res.stats.backend == backend
                 # the zero label is not reported, so it never counts toward a cell's size
                 assert res.stats.max_cell == 0, (min_cells, keep, inst.capacity)
             # one item: every column holds one label, the zero label or the item
@@ -103,6 +111,7 @@ def test_solve_zero_capacity(table1):
             assert solve(one, keep_matrix=keep).stats.max_cell == 1
             res = solve(late, keep_matrix=keep)
             assert res.labels == (Label((0, 1), 1, (2,)),)
+            assert res.stats.backend == backend
             assert res.stats.max_cell == 1, (min_cells, keep)
 
 
@@ -164,8 +173,10 @@ def test_solve_matches_oracle_exactly(inst):
     want = enumerate_frontier(inst).labels
     assert got == want  # vectors, weights, and witness subsets
     # the C kernel too, whenever it can be built here
-    with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", 1):
-        assert solve(inst).labels == want
+    with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", 0):
+        res = solve(inst)
+    assert res.stats.backend == C_BACKEND
+    assert res.labels == want
 
 
 @settings(deadline=None, max_examples=60)
@@ -176,19 +187,21 @@ def test_item_order_does_not_change_the_answer(inst, rng):
     orders = [replace(inst, items=inst.items[::-1]), replace(inst, items=tuple(shuffled))]
     # every solve sweeps items in input order; the witness rule must not depend on it
     want = solve(inst, keep_matrix=True).labels
-    for min_cells in (1, 10**12):  # C kernel forced on, then off
+    for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
-            assert solve(inst).labels == want
-            for other in orders:
-                assert solve(other).labels == want
+            for each in (inst, *orders):
+                res = solve(each)
+                assert res.stats.backend == backend
+                assert res.labels == want
 
 
 @settings(deadline=None, max_examples=40)
 @given(instances(max_n=8, max_k=3, max_weight=5, max_capacity=12))
 def test_cells_are_filter_stable_and_bounded(inst):
-    for min_cells in (1, 10**12):  # C kernel forced on, then off
+    for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             res = solve(inst, keep_matrix=True)
+        assert res.stats.backend == backend
         for i in range(len(res.matrix)):
             for x in range(len(res.matrix[0])):
                 cell = list(res.matrix[i][x])
@@ -205,9 +218,10 @@ def test_cells_are_filter_stable_and_bounded(inst):
 @settings(deadline=None, max_examples=25)
 @given(instances(max_n=7, max_k=3, max_weight=5, max_capacity=10))
 def test_every_cell_equals_prefix_frontier(inst):
-    for min_cells in (1, 10**12):  # C kernel forced on, then off
+    for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             res = solve(inst, keep_matrix=True)
+        assert res.stats.backend == backend
         for i in range(len(res.matrix)):
             for x in range(len(res.matrix[0])):
                 prefix = Instance(k=inst.k, capacity=x, items=inst.items[:i])
@@ -410,32 +424,78 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
         _run_kernel(kernel, **{**_kernel_args(), **bad})
 
 
-@pytest.mark.parametrize(
-    "cc, cache_is_a_file, reason",
-    [
-        ("{tmp}/no-such-cc", False, "no C compiler {tmp}/no-such-cc to build "),
-        # the compiler runs in a new cache directory, and fails
-        ("false", False, "false failed (exit 1): "),
-        ("false", True, "kernel cache {tmp}/cache/qknap is not writable: "),
-    ],
-    ids=["no-compiler", "compiler-fails", "cache-not-writable"],
-)
-def test_when_no_kernel_builds_solve_runs_the_python_kernel(
-    tmp_path, monkeypatch, cc, cache_is_a_file, reason
-):
-    cache = tmp_path / "cache"
-    if cache_is_a_file:
+def _unknown_uid(uid):
+    raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+
+def _make_the_kernel_unavailable(case, tmp, monkeypatch):
+    """Set up one way for the C kernel to be unavailable: ``(reason prefix, cause)``.
+
+    The cause, a path or a word, must appear in the reason.
+    """
+    cache = tmp / "cache"
+    if case == "no-compiler":
+        monkeypatch.setenv("CC", f"{tmp}/no-such-cc")
+        return f"no C compiler {tmp}/no-such-cc to build ", f"{tmp}/no-such-cc"
+    if case == "compiler-fails":  # it runs in a new cache directory, and fails
+        monkeypatch.setenv("CC", "false")
+        return "false failed (exit 1): ", "false"
+    if case == "compiler-not-executable":  # +x without a shebang: exec fails, ENOEXEC
+        cc = tmp / "cc"
+        cc.write_text("not a program\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        return "no C row kernel: ", str(cc)
+    if case == "cache-not-writable":
         cache.write_text("")
-    monkeypatch.setenv("CC", cc.format(tmp=tmp_path))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setenv("CC", "false")
+        return "no C row kernel: ", f"{cache}/qknap"
+    if case == "source-unreadable":
+        monkeypatch.setattr(qknap.dp, "__file__", str(tmp / "src" / "dp.py"))
+        return "no C row kernel: ", f"{tmp}/src/_rowkernel.c"
+    if case == "cached-build-unloadable":
+        # garbage where a build would be: no compiler is needed to load it
+        monkeypatch.setenv("CC", f"{tmp}/no-such-cc")
+        lib = cache / "qknap" / qknap.dp._load_row_kernel()[1].split()[-1]
+        qknap.dp._load_row_kernel.cache_clear()
+        lib.parent.mkdir(parents=True)
+        lib.write_text("garbage")
+        return "no C row kernel: ", str(lib)
+    assert case == "no-home"  # no $HOME, no $XDG_CACHE_HOME and a uid pwd does not know
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(pwd, "getpwuid", _unknown_uid)
+    return "no C row kernel: ", "home"
+
+
+def _files(directory):
+    return set(directory.iterdir()) if directory.is_dir() else set()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no-compiler",
+        "compiler-fails",
+        "cache-not-writable",
+        "source-unreadable",
+        "cached-build-unloadable",
+        "compiler-not-executable",
+        "no-home",
+    ],
+)
+def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatch, case):
+    builds = tmp_path / "cache" / "qknap"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
     qknap.dp._load_row_kernel.cache_clear()
     try:
+        reason, cause = _make_the_kernel_unavailable(case, tmp_path, monkeypatch)
+        planted = _files(builds)
         kernel, why = qknap.dp._load_row_kernel()
         assert kernel is None
-        assert why.startswith(reason.format(tmp=tmp_path)), why
-        builds = cache / "qknap"
-        assert not builds.is_dir() or not any(builds.iterdir())  # no temp file left behind
+        assert why.startswith(reason) and cause in why, why
+        assert _files(builds) == planted  # no temp file left behind
         inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
         res = solve(inst)
         assert res.stats.backend == "python"
@@ -493,12 +553,11 @@ def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     assert solve(big).stats.cells >= qknap.dp._KERNEL_MIN_CELLS
     (tmp_path / "big.qknap").write_text(serialize_instance(big))
-    kernel_backend = "c-kernel" if shutil.which(qknap.dp._compiler()[0]) else "python"
     script = (
         'import sys; sys.modules["numpy"] = None; '
         "from qknap.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    for path, backend in [(data_dir / "table1.qknap", "python"), (tmp_path / "big.qknap", kernel_backend)]:
+    for path, backend in [(data_dir / "table1.qknap", "python"), (tmp_path / "big.qknap", C_BACKEND)]:
         run = subprocess.run(
             [sys.executable, "-c", script, "solve", str(path)], capture_output=True, text=True
         )
