@@ -7,8 +7,9 @@
  * the witness bit sets.
  *
  * The six buffers come first: the row (L, off), the item's record, the
- * next row (L_o, off_o) and out. Then the scalars: W1 columns, R words
- * a record, ks lane words and the guard mask H of a lane word.
+ * next row (L_o, off_o) and out. Then the scalars: W1 columns, the first
+ * column lo of the next row, R words a record, ks lane words and the
+ * guard mask H of a lane word.
  *
  * The top bit of each lane is a guard, clear in every record, and H
  * marks the guard bits of a lane word. a >= b holds lane by lane in a
@@ -18,8 +19,10 @@
  * Column x of the next row merges column x of L (the A records) with
  * column x - wt extended by the item (the B records; none when x < wt),
  * where item is the record that extending adds and wt = item[ks] its
- * weight. Each B record is written once into L_o, behind room for the
- * column's A records, as the word-by-word sum of its source and item.
+ * weight. The next row holds columns lo..W1-1 of L's, re-based: its
+ * column x - lo is column x, and off_o[0] == 0. Each B record is written
+ * once into L_o, behind room for the column's A records, as the
+ * word-by-word sum of its source and item.
  * Each A record is then compared with each B record as plain records.
  * Equal vectors keep the lighter label, then the one whose witness words
  * compare larger as unsigned integers, word 0 first, which is the
@@ -29,24 +32,27 @@
  * ones move down behind the A survivors.
  *
  * On return out holds pos (records written), the A x B record pairs
- * taken up and the size of the largest column. Returns 0, or -2 if
- * column x has not off[x] <= off[x + 1] <= off[W1], before it reads or
- * writes outside L or the 2 * off[W1] records of L_o.
+ * taken up and the size of the largest column written. Returns 0, or -2
+ * if some column x has not off[x] <= off[x + 1] <= off[W1], before it
+ * reads or writes outside L or the 2 * off[W1] records of L_o: every
+ * column is checked, those below lo too, since they feed B records.
  */
 #include <stdint.h>
 #include <string.h>
 
 int qknap_row_kernel(const uint64_t *L, const int64_t *off,
                      const uint64_t *item, uint64_t *L_o, int64_t *off_o,
-                     int64_t *out, int64_t W1, int64_t R, int64_t ks,
-                     uint64_t H)
+                     int64_t *out, int64_t W1, int64_t lo, int64_t R,
+                     int64_t ks, uint64_t H)
 {
     int64_t wt = (int64_t)item[ks], pos = 0, comparisons = 0, max_cell = 0;
     size_t size = R * sizeof(uint64_t);
     for (int64_t x = 0; x < W1; x++) {
         if (off[x + 1] < off[x] || off[x + 1] > off[W1])
             return -2;
-        off_o[x] = pos;
+        if (x < lo)
+            continue;
+        off_o[x - lo] = pos;
         int64_t ma = off[x + 1] - off[x], mb = 0;
         const uint64_t *A = L + off[x] * R;
         uint64_t *B = L_o + (pos + ma) * R; /* behind room for the A survivors */
@@ -89,10 +95,10 @@ int qknap_row_kernel(const uint64_t *L, const int64_t *off,
         for (const uint64_t *b = B; b < end; b += R)
             if (b[ks])
                 memmove(L_o + pos++ * R, b, size);
-        if (pos - off_o[x] > max_cell)
-            max_cell = pos - off_o[x];
+        if (pos - off_o[x - lo] > max_cell)
+            max_cell = pos - off_o[x - lo];
     }
-    off_o[W1] = pos;
+    off_o[W1 - lo] = pos;
     out[0] = pos;
     out[1] = comparisons;
     out[2] = max_cell;

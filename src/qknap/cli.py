@@ -219,7 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="print a falsifying valuation")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("bench", help="CSV sweep over generated instances")
+    p = sub.add_parser(
+        "bench",
+        help="CSV sweep over generated instances",
+        description="One CSV row per generated instance. max_cell and comparisons are"
+        " the solve's # stats: they count the columns its sweep merges, those that can"
+        " reach W. label_bound is C(k+n, n) - 1, the bound on any cell's size.",
+    )
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     p.add_argument("--k", type=_int_list, required=True)
     cap = p.add_mutually_exclusive_group(required=True)

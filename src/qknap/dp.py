@@ -1,19 +1,29 @@
 """Exact frontier computation by dynamic programming over label sets.
 
-The solver sweeps the items in input order and, for every capacity
-budget x in 0..W, maintains the set of non-dominated rank cardinality
-vectors reachable with the items seen so far. Each vector is carried as
-a label holding its suffix-sum form, its minimal achieving weight, and
-one witness subset. Merging a cell with its extended predecessor keeps
-exactly the labels that survive the suffix-sum dominance test; equal
-vectors are collapsed to the lighter witness, then to the
-lexicographically smallest id tuple. Reported cells never include the
-empty selection's all-zero label.
+The solver sweeps the items one by one and, for every capacity budget
+x in a window of 0..W, maintains the set of non-dominated rank
+cardinality vectors reachable with the items seen so far. Each vector is
+carried as a label holding its suffix-sum form, its minimal achieving
+weight, and one witness subset. Merging a cell with its extended
+predecessor keeps exactly the labels that survive the suffix-sum
+dominance test; equal vectors are collapsed to the lighter witness, then
+to the lexicographically smallest id tuple. Reported cells never include
+the empty selection's all-zero label.
+
+A solve reports cell (n, W) only, so it drops the items heavier than W
+and sweeps the rest heaviest first (a stable sort: equal weights keep
+input order), and each row keeps only the columns W - rem..W, where rem
+is the weight of the items still to come: no lower column can reach W
+(Toth's reduction). Heavy items first make rem fall soonest. The last
+row is column W alone. With ``keep_matrix`` every cell (i, x) is the
+frontier of the first i items of the input within budget x, so that
+solve sweeps every item in input order over every column.
 
 A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
 uint64) holds one record of R = ks + 1 + nw words per label: the ks
 lane words, the weight, then the nw = ceil(n/64) witness words. Records
-off[x]:off[x+1] (off of typecode "q") belong to capacity x.
+off[x]:off[x+1] (off of typecode "q") belong to the row's column x:
+capacity x past the row's first column.
 
 The lane words hold the k suffix sums, which make dominance a plain
 componentwise comparison. ``_lanes`` lays them out, and it alone: sum j
@@ -42,7 +52,7 @@ Extending a label by an item adds the item's record, which ``solve``
 builds once per item: one in the low bit of each of the first level
 lanes, the item's weight, and its rank's witness bit. The add is word by
 word and carries out of no word: a lane sum stays at most n under its
-guard, a weight at most x <= W < 2**63 in column x, and the witness bit
+guard, a weight at most its capacity x <= W < 2**63, and the witness bit
 is clear in every label of the previous row, because each item is swept
 once.
 
@@ -62,35 +72,41 @@ imported only to build, and a compiler that is not there is found
 missing before anything is written. A build compiles into a temporary
 directory inside the cache and is renamed into place. Smaller solves,
 and every solve when no compiler is found, the compiler fails, or an
-OSError or a missing home directory stops the build or the load, take
-the Python twin. ``SolveStats.backend`` names the kernel that ran.
+OSError, a missing home directory or a ``$CC`` that ``shlex`` cannot
+split stops the build or the load, take the Python twin. ``SolveStats.backend`` names the kernel that ran.
 
-Both kernels take a row, ks, the guard mask H of a lane word and the
-item's record, and return the next row, the comparisons and max_cell,
-the size of the row's largest column: one row in, one row out. Per
-column they extend each label of column x - wt by the item once, then
-merge plain records, A (column x) first, and mark a dominated extension
-by setting its weight to 0, which no extension weighs. An A record's
-scan ends at the first extension that covers it: the extensions are
-distinct and non-dominated, so it covers none of the rest. The
-comparisons count the A x B record pairs each column's merge takes up,
-an upper bound on the dominance tests run. The kernels know nothing of
-the zero label: ``solve`` leaves it out of max_cell, and
-``_cell_labels`` out of the reported cells. Every nonzero label
-dominates it, so a column keeps it only while no item swept so far fits
-there, and then holds nothing else: the kernels' max_cell counts it
-only when every column holds it alone, which is when the frontier is
-empty, and ``solve`` checks that once, after the sweep. The C kernel
-gets the buffers' addresses as bare pointers, so its ctypes wrapper
-allocates the next row itself, room for two labels for every input
-label, and trims it to what C wrote; C allocates nothing. The wrapper
-checks first what C cannot: that L, off and the item are ``array``s of
-typecodes "Q", "q" and "Q", that ks leaves the item its weight and at
-least one witness word, that the item weighs at least 1 and less than
-2**63, and that L holds off[-1] records of the item's length, and raises
-ValueError before any C code runs if not. C checks each column's offsets
-when it reaches them and refuses (ValueError too) any that decrease or
-point past the row.
+Both kernels take a row, the next row's first column lo, ks, the guard
+mask H of a lane word and the item's record, and return the next row,
+the comparisons and max_cell, the size of the next row's largest
+column: one row in, one row out. The kernels number a row's columns
+from its first one: the next row holds the input row's columns lo..
+re-based to 0, with off[0] == 0. A column x < wt of the input row
+carries over, which is right when the row starts at capacity 0, and
+``solve`` passes lo >= wt whenever it does not, so no such column
+reaches the next row. Per column they extend each label of column
+x - wt by the item once, then merge plain records, A (column x) first,
+and mark a dominated extension by setting its weight to 0, which no
+extension weighs. An A record's scan ends at the first extension that
+covers it: the extensions are distinct and non-dominated, so it covers
+none of the rest. The comparisons count the A x B record pairs each
+column's merge takes up, an upper bound on the dominance tests run. The
+kernels know nothing of the zero label: ``solve`` leaves it out of
+max_cell, and ``_cell_labels`` out of the reported cells. Every nonzero
+label dominates it, so a column keeps it only while no item swept so
+far fits there, and then holds nothing else: the kernels' max_cell
+counts it only when every column holds it alone, which is when the
+frontier is empty, and ``solve`` checks that once, after the sweep. The
+C kernel gets the buffers' addresses as bare pointers, so its ctypes
+wrapper allocates the next row itself, room for two labels for every
+input label, and trims it to what C wrote; C allocates nothing. The
+wrapper checks first what C cannot: that L, off and the item are
+``array``s of typecodes "Q", "q" and "Q", that ks leaves the item its
+weight and at least one witness word, that the item weighs at least 1
+and less than 2**63, that lo leaves the next row at least one column,
+and that L holds off[-1] records of the item's length, and raises
+ValueError before any C code runs if not. C checks each column's
+offsets, those below lo too, when it reaches them and refuses
+(ValueError too) any that decrease or point past the row.
 """
 
 from __future__ import annotations
@@ -102,7 +118,8 @@ import shlex
 import sys
 import time
 from array import array
-from operator import add, sub
+from itertools import accumulate
+from operator import add, attrgetter, sub
 from pathlib import Path
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
@@ -137,12 +154,22 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     n*W; meant for small instances and debugging). Without it the
     capacity is first clamped to the total weight, beyond which every
     column repeats the last, so ``stats.cells`` counts n * (min(W, total
-    weight) + 1) cells.
+    weight) + 1) cells, though the sweep merges only the columns that
+    can reach W, heaviest item first: ``comparisons`` and ``max_cell``
+    count those.
     """
     t0 = time.perf_counter()
     n, k, W = len(inst.items), inst.k, inst.capacity
-    if not keep_matrix:  # a matrix shows every column, so it keeps W
+    if keep_matrix:  # cells of input prefixes, every column: all items in input order
+        items, starts = inst.items, [0] * (n + 1)
+    else:
         W = min(W, sum(item.weight for item in inst.items))
+        fit = [item for item in inst.items if item.weight <= W]
+        # heaviest first; the sort is stable, so equal weights keep input order
+        items = sorted(fit, key=attrgetter("weight"), reverse=True)
+        # row i holds columns starts[i]..W: those the items after the i-th can lift to W
+        rem = accumulate([item.weight for item in reversed(items)], initial=0)
+        starts = [max(0, W - r) for r in rem][::-1]
     stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
     kernel = _load_row_kernel()[0] if stats.cells >= _KERNEL_MIN_CELLS else None
     if kernel is None:
@@ -152,21 +179,21 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     nw = -(-n // 64)
     ks, H, _, where = lanes = _lanes(k, n)
     R = ks + 1 + nw
-    # row 0: the all-zero label (empty subset) in every column
-    row = _zeros("Q", (W + 1) * R), array("q", range(W + 2))
+    # row 0: the all-zero label (empty subset) in every column of its window
+    row = _zeros("Q", (W + 1 - starts[0]) * R), array("q", range(W + 2 - starts[0]))
     rows = [row]
-    for item in inst.items:
+    for item, lo, next_lo in zip(items, starts, starts[1:]):
         rec = _zeros("Q", R)  # what extending a label by the item adds
         for q, shift in where[: item.level]:
             rec[q] += 1 << shift
         r = rank[item.id]
         rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
-        row, comps, mc = kernel(row, ks, H, rec)
+        row, comps, mc = kernel(row, next_lo - lo, ks, H, rec)
         stats.comparisons += comps
         stats.max_cell = max(stats.max_cell, mc)
         if keep_matrix:
             rows.append(row)
-    labels = _cell_labels(row, W, lanes, ids)
+    labels = _cell_labels(row, W - starts[-1], lanes, ids)
     if not labels:  # every column held only the zero label, which does not count
         stats.max_cell = 0
     matrix = None
@@ -223,7 +250,7 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
     return -(-k // per), H, (1 << lane) - 1, [(j // per, j % per * lane) for j in range(k)]
 
 
-def _row_kernel_py(row, ks, H, item):
+def _row_kernel_py(row, lo, ks, H, item):
     """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
     Same arguments and results as the C kernel's wrapper: ``(next_row,
@@ -243,7 +270,7 @@ def _row_kernel_py(row, ks, H, item):
     off = off.tolist()
     comparisons = max_cell = 0
     L_out, offs = array("Q"), array("q")
-    for x in range(len(off) - 1):
+    for x in range(lo, len(off) - 1):
         offs.append(len(L_out) // R)
         A = zip(recs[off[x] : off[x + 1]], sums[off[x] : off[x + 1]])
         B = range(off[x - wt], off[x - wt + 1]) if x >= wt else ()  # else the cell carries over
@@ -266,7 +293,7 @@ def _row_kernel_py(row, ks, H, item):
         for e in ext:
             if e[ks]:
                 L_out.extend(e)
-        max_cell = max(max_cell, len(L_out) // R - offs[x])
+        max_cell = max(max_cell, len(L_out) // R - offs[-1])
     offs.append(len(L_out) // R)
     return (L_out, offs), comparisons, max_cell
 
@@ -288,9 +315,9 @@ def _load_row_kernel():
     ``_row_kernel_py``; ``reason`` names the shared object that loaded,
     or why none did: no compiler found, the compiler failed (with the
     tail of its stderr), or ``no C row kernel: ...`` with the OSError
-    met on the way, or the RuntimeError of a home directory that cannot
-    be found. ``_load_row_kernel.cache_clear()`` makes the next call try
-    again.
+    met on the way, the RuntimeError of a home directory that cannot be
+    found, or the ValueError of a ``$CC`` that ``shlex`` cannot split.
+    ``_load_row_kernel.cache_clear()`` makes the next call try again.
     """
     # Imported here so that solves below the kernel threshold never pay for them;
     # the build's modules are imported only when there is something to build.
@@ -298,8 +325,8 @@ def _load_row_kernel():
     import importlib.util
 
     source = Path(__file__).with_name("_rowkernel.c")
-    cc = _compiler()
     try:
+        cc = _compiler()
         # A build for another compiler, such as a sanitizer's, must not be loaded.
         key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode()
         key += b"\0" + source.read_bytes()
@@ -323,12 +350,13 @@ def _load_row_kernel():
                     return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
                 os.replace(built, lib)  # atomic on one filesystem: none loads a half-written file
         fn = ctypes.CDLL(str(lib)).qknap_row_kernel
-    except (OSError, RuntimeError) as exc:  # RuntimeError: Path.home() finds no home
+    # RuntimeError: Path.home() finds no home; ValueError: a $CC shlex cannot split
+    except (OSError, RuntimeError, ValueError) as exc:
         return None, f"no C row kernel: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 3 + [ctypes.c_uint64]
+    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_uint64]
     fn.restype = ctypes.c_int
 
-    def kernel(row, ks, H, item):
+    def kernel(row, lo, ks, H, item):
         # The C side reads and writes through bare pointers, unchecked: off[-1]
         # records of len(item) words in, up to twice that many out.
         L, off = row
@@ -337,15 +365,15 @@ def _load_row_kernel():
             and L.typecode + off.typecode + item.typecode == "QqQ"
             and 0 <= ks < len(item) - 1  # the weight, then at least one witness word
             and 1 <= item[ks] < 1 << 63  # weight 0 marks the dominated; C reads it as int64
-            and len(off) >= 2
+            and 0 <= lo < len(off) - 1  # the next row keeps at least column W
             and off[0] == 0
             and len(L) == off[-1] * (R := len(item))
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off))
+        L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off) - lo)
         out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
         addr = [b.buffer_info()[0] for b in (L, off, item, L_o, off_o, out)]
-        if fn(*addr, len(off) - 1, R, ks, H) != 0:
+        if fn(*addr, len(off) - 1, lo, R, ks, H) != 0:
             raise ValueError("row kernel buffers do not fit the row")  # off decreases
         pos, comparisons, max_cell = out
         del L_o[pos * R :]

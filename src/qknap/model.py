@@ -106,7 +106,11 @@ class SolveStats:
     each column's merge takes up: every label of cell (i-1, x) against
     every extension of cell (i-1, x - w_i). That bounds the dominance
     tests run from above, since a label's scan ends at the first
-    extension that covers it. Each field, in this order, is printed
+    extension that covers it. Without ``--matrix`` the sweep merges only
+    the cells that can reach cell (n, W), heaviest item first (see
+    ``qknap.dp``): ``comparisons`` and ``max_cell`` count those, while
+    ``cells`` stays n * (W + 1), the size of the whole table with W
+    clamped to the total weight. Each field, in this order, is printed
     after the label count as one ``# name=value`` stats line and one
     ``--json`` stats key (see ``qknap.instance_io``).
     """

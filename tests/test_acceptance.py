@@ -9,6 +9,8 @@ is a wall-clock smoke test and the slowest thing in the suite.
 import random
 import time
 
+import pytest
+
 import qknap.dp
 from helpers import drop_wall_time, improve, random_valuation, random_vector, run_cli
 from qknap import (
@@ -150,29 +152,36 @@ def test_criterion_7_preorder_axioms():
     _ok(7, "reflexivity on 1000 vectors, transitivity on 10000 triples")
 
 
-def test_criterion_9_scale_smoke():
+@pytest.mark.parametrize("backend", ["c-kernel", "python"])
+def test_criterion_9_scale_smoke(backend, monkeypatch):
     base = dict(n=200, k=3, weight_max=50, seed=1)
-    small = generate_instance(GeneratorParams(n=60, k=3, weight_max=20, seed=2, capacity=400))
-    solve(small)  # build or load the C row kernel outside the timed region
-    kernel, reason = qknap.dp._load_row_kernel()
-    assert kernel is not None, reason
+    if backend == "c-kernel":
+        small = generate_instance(GeneratorParams(n=60, k=3, weight_max=20, seed=2, capacity=400))
+        solve(small)  # build or load the C row kernel outside the timed region
+        kernel, reason = qknap.dp._load_row_kernel()
+        assert kernel is not None, reason
+        repeats = 3
+    else:  # the Python twin, which serves every solve where no C kernel can be had
+        monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
+        repeats = 1
     times = {}
     for cap in (2000, 4000):
         inst = generate_instance(GeneratorParams(**base, capacity=cap))
         runs = []
-        for _ in range(3):
+        for _ in range(repeats):
             start = time.perf_counter()
             result = solve(inst)
             runs.append(time.perf_counter() - start)
         assert result.labels
-        times[cap] = sorted(runs)[1]  # median of three
+        assert result.stats.backend == backend
+        times[cap] = sorted(runs)[repeats // 2]  # the median
         if cap == 2000:
             assert all(r < 30.0 for r in runs), f"W=2000 runs: {runs}"
     ratio = times[4000] / times[2000]
     assert ratio <= 3.0, f"doubling W scaled wall time by {ratio:.2f}"
     _ok(
         9,
-        f"W=2000 in {times[2000]:.1f}s; doubling W scales time by {ratio:.2f} (<= 3.0)",
+        f"{backend}: W=2000 in {times[2000]:.2f}s; doubling W scales time by {ratio:.2f} (<= 3.0)",
     )
 
 

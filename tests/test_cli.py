@@ -105,6 +105,21 @@ def test_solve_reads_crlf_lines(tmp_path, data_dir):
     )
 
 
+def test_a_cc_shlex_cannot_split_falls_back_to_the_python_kernel(tmp_path, monkeypatch):
+    # 40 items and W=60 make 2,440 cells, enough for the C kernel; the compiler
+    # command has an unbalanced quote
+    gen = run_cli("gen", "--n", 40, "--k", 3, "--capacity", 60, "--wmax", 9, "--seed", 1)
+    big = tmp_path / "big.qknap"
+    big.write_text(gen.stdout)
+    want = run_cli("solve", big).stdout
+    monkeypatch.setenv("CC", 'gcc "')
+    proc = run_cli("solve", big)
+    assert proc.returncode == 0, proc.stderr
+    assert "# backend=python" in proc.stdout.splitlines()
+    frontier = lambda text: [line for line in text.splitlines() if not line.startswith("#")]
+    assert frontier(proc.stdout) == frontier(want)
+
+
 def test_greedy_modes(data_dir):
     r = run_cli("greedy", data_dir / "table1.qknap", "r")
     assert r.stdout == "items=[2,4] vector=(0,1,0,1) weight=6 guarantee=Efficient\n"

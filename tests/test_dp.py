@@ -33,10 +33,19 @@ from qknap import (
     total_weight,
 )
 
+
+def _compiler_found() -> bool:
+    """Whether ``$CC`` (else ``cc``) names a program; a ``$CC`` shlex cannot split names none."""
+    try:
+        return shutil.which(qknap.dp._compiler()[0]) is not None
+    except ValueError:
+        return False
+
+
 # The backend a solve forced onto the C kernel (_KERNEL_MIN_CELLS = 0) runs: with
 # a compiler on hand it must be C, or the oracle checks below would compare the
 # Python twin with itself.
-C_BACKEND = "c-kernel" if shutil.which(qknap.dp._compiler()[0]) else "python"
+C_BACKEND = "c-kernel" if _compiler_found() else "python"
 
 # Expected DP table for the four-item staircase instance: cell vectors for
 # i=0..4 (rows) by x=0..6 (columns), zero label stripped, canonical order.
@@ -282,9 +291,26 @@ def test_tie_break_matches_global_oracle_rule(seed):
 
 
 needs_cc = pytest.mark.skipif(
-    shutil.which(qknap.dp._compiler()[0]) is None,
-    reason=f"no C compiler {qknap.dp._compiler()[0]!r} to build the row kernel",
+    not _compiler_found(), reason="no C compiler $CC (else cc) to build the row kernel"
 )
+
+
+def _check_rows(kernel, monkeypatch):
+    """Run every row a solve hands the twin through the C kernel too, and record it.
+
+    Returns the list each later solve appends its ``(args, next row)`` to.
+    """
+    twin, rows = qknap.dp._row_kernel_py, []
+
+    def both(row, *args):
+        got = kernel(row, *args)
+        assert got == twin(row, *args), f"item {len(rows)}"
+        rows.append((args, got[0]))
+        return got
+
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
+    monkeypatch.setattr(qknap.dp, "_row_kernel_py", both)
+    return rows
 
 
 @needs_cc
@@ -304,19 +330,44 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
         fast.stats.max_cell,
         fast.stats.comparisons,
     )
-    # row by row: each row solve hands the twin goes through the C kernel too
-    twin, rows = qknap.dp._row_kernel_py, []
-
-    def both(row, *args):
-        got = kernel(row, *args)
-        assert got == twin(row, *args), f"item {len(rows)}"
-        rows.append(got)
-        return got
-
-    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
-    monkeypatch.setattr(qknap.dp, "_row_kernel_py", both)
-    assert solve(inst).labels == ref.labels
+    # row by row, over every column in input order (the windows are checked below)
+    rows = _check_rows(kernel, monkeypatch)
+    assert solve(inst, keep_matrix=True).labels == ref.labels
     assert len(rows) == len(inst.items)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "params",
+    _PATH_SHAPES
+    + _SHUFFLED_ID_SHAPES
+    + [GeneratorParams(n=30, k=3, weight_max=9, seed=17, capacity=6)],  # some items fit nowhere
+)
+def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
+    params, monkeypatch
+):
+    kernel, reason = qknap.dp._load_row_kernel()
+    assert kernel is not None, reason
+    inst = _path_instance(params)
+    W = min(inst.capacity, sum(item.weight for item in inst.items))
+    fit = [item for item in inst.items if item.weight <= W]
+    order = sorted(fit, key=lambda item: -item.weight)  # stable: ties keep input order
+    want = solve(inst, keep_matrix=True).labels  # input order, every column
+    rows = _check_rows(kernel, monkeypatch)
+    assert solve(inst).labels == want
+    ids = sorted(item.id for item in inst.items)
+    assert len(rows) == len(order)
+    for i, ((_, ks, _, rec), (L, off)) in enumerate(rows, start=1):
+        # the item record's witness word holds the item's rank among the ids
+        (q, word), = [(q, w) for q, w in enumerate(rec[ks + 1 :]) if w]
+        assert (ids[64 * q + 63 - (word.bit_length() - 1)], rec[ks]) == (
+            order[i - 1].id,
+            order[i - 1].weight,
+        )
+        # row i holds columns W - (weight of the items still to come) .. W, re-based
+        first = max(0, W - sum(item.weight for item in order[i:]))
+        assert len(off) - 1 == W + 1 - first, f"item {i}"
+        assert off[0] == 0 and len(L) == off[-1] * len(rec)
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
@@ -370,6 +421,7 @@ def _kernel_args():
         ks=1,
         H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
         item=array("Q", [1, 1, 1 << 63]),
+        lo=0,
     )
 
 
@@ -393,6 +445,11 @@ def _run_kernel(kernel, L, off, **args):
         # reads or writes outside the row
         dict(L=array("Q", [0]) * 9, off=array("q", [0, 3, 1, 3])),
         dict(L=array("Q", [0]) * 9, off=array("q", [0, 5, 3])),
+        dict(lo=4),  # the next row would hold no column
+        dict(lo=-1),
+        # column 2 feeds column 3's B records from record -6 on, unless C checks
+        # the columns below the first one too
+        dict(L=array("Q", [0]) * 9, off=array("q", [0, 0, -6, 0, 3]), lo=3),
     ],
     ids=[
         "short-L",
@@ -405,6 +462,9 @@ def _run_kernel(kernel, L, off, **args):
         "item-one-word-short",
         "non-monotonic-off",
         "off-beyond-the-row",
+        "first-column-beyond-the-row",
+        "first-column-below-zero",
+        "off-decreases-below-the-first-column",
     ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
@@ -420,6 +480,10 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     assert (comparisons, max_cell) == (3, 1)
     (L_py, off_py), *counts = _run_kernel(qknap.dp._row_kernel_py, **_kernel_args())
     assert (L_py, off_py, *counts) == (L, off, comparisons, max_cell)
+    # from column 2 on: the last two columns, re-based, and their merges only
+    for each in (kernel, qknap.dp._row_kernel_py):
+        (L, off), *counts = _run_kernel(each, **{**_kernel_args(), "lo": 2})
+        assert (list(L), list(off), *counts) == ([1, 1, 1 << 63] * 2, [0, 1, 2], 2, 1)
     with pytest.raises(ValueError, match="do not fit"):
         _run_kernel(kernel, **{**_kernel_args(), **bad})
 
