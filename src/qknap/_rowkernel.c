@@ -2,19 +2,16 @@
  *
  * Compiled on first use by qknap.dp and called through ctypes; the
  * pure-Python twin qknap.dp._row_kernel_py follows it step for step.
- * The qknap.dp docstring documents the row (L, off), its records of
- * R words (ks lane words, the weight, the witness words), the lanes and
- * the witness bit sets.
+ * qknap.dp._lanes lays out a record's R words; the qknap.dp docstring
+ * documents the row (L, off), the guard-bit dominance test used below
+ * and why the witness words settle ties.
  *
  * The six buffers come first: the row (L, off), the item's record, the
  * next row (L_o, off_o) and out. Then the scalars: W1 columns, the first
  * column lo of the next row, R words a record, ks lane words and the
  * guard mask H of a lane word.
  *
- * The top bit of each lane is a guard, clear in every record, and H
- * marks the guard bits of a lane word. a >= b holds lane by lane in a
- * word iff ((a | H) - b) & H == H: each lane computes a + 2^(lane-1) - b,
- * which is never negative, so no borrow crosses into the next lane.
+ * a >= b holds lane by lane in a lane word iff ((a | H) - b) & H == H.
  *
  * Column x of the next row merges column x of L (the A records) with
  * column x - wt extended by the item (the B records; none when x < wt),

@@ -31,7 +31,7 @@ from .instance_io import (
     serialize_greedy,
     serialize_instance,
 )
-from .model import InvalidInstanceError, rank_cardinality_vector, total_weight
+from .model import rank_cardinality_vector, total_weight
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -92,22 +92,11 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_id_list(text: str) -> frozenset[int]:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    try:
-        return frozenset(int(t) for t in text.split(","))
-    except ValueError:
-        raise InvalidInstanceError(f"bad id list '{text}'; expected comma-separated integers")
-
-
 def _cmd_check(args) -> int:
     from .dominance import evaluate, falsification_witness, suffix_sums, weakly_dominates
 
     inst = read_instance(args.instance)
-    sub_a = _parse_id_list(args.a)
-    sub_b = _parse_id_list(args.b)
+    sub_a, sub_b = frozenset(args.a), frozenset(args.b)
     ga = rank_cardinality_vector(sub_a, inst)
     gb = rank_cardinality_vector(sub_b, inst)
     for name, sub in (("a", sub_a), ("b", sub_b)):
@@ -147,7 +136,11 @@ def _ratio(text: str) -> Fraction:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+    """Comma-separated integers; an empty or blank text is the empty list."""
+    try:
+        return [int(t) for t in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer list '{text}'") from None
 
 
 def _cmd_bench(args) -> int:
@@ -214,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="dominance verdict between two subsets")
     p.add_argument("instance")
-    p.add_argument("--a", required=True, help="comma-separated item ids")
-    p.add_argument("--b", required=True, help="comma-separated item ids")
+    p.add_argument("--a", type=_int_list, required=True, help="comma-separated item ids")
+    p.add_argument("--b", type=_int_list, required=True, help="comma-separated item ids")
     p.add_argument("--witness", action="store_true", help="print a falsifying valuation")
     p.set_defaults(func=_cmd_check)
 

@@ -20,19 +20,15 @@ frontier of the first i items of the input within budget x, so that
 solve sweeps every item in input order over every column.
 
 A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
-uint64) holds one record of R = ks + 1 + nw words per label: the ks
-lane words, the weight, then the nw = ceil(n/64) witness words. Records
-off[x]:off[x+1] (off of typecode "q") belong to the row's column x:
-capacity x past the row's first column.
+uint64) holds one record of R words per label, laid out by ``_lanes``
+and by it alone: the lane words, the weight, then the witness words.
+Records off[x]:off[x+1] (off of typecode "q") belong to the row's
+column x: capacity x past the row's first column.
 
 The lane words hold the k suffix sums, which make dominance a plain
-componentwise comparison. ``_lanes`` lays them out, and it alone: sum j
-sits in a lane of lane = n.bit_length() + 1 bits, lane j % per of word
-j // per, at bit (j % per) * lane, with per = 64 // lane lanes to a
-word, so ks = ceil(k / per) and no lane straddles two words. A sum never
-exceeds n, so the top bit of each lane, its guard, stays clear. With H
-the mask of a word's guard bits, a >= b holds in every lane of a word
-iff
+componentwise comparison. Each sum sits in a lane of its own, ``lane``
+bits wide, whose top bit, its guard, stays clear. With H the mask of a
+word's guard bits, a >= b holds in every lane of a word iff
 
     ((a | H) - b) & H == H
 
@@ -41,8 +37,8 @@ negative: no borrow crosses into the next lane, and the guard survives
 exactly where a_j >= b_j. A dominance test is one subtract-and-mask per
 lane word, and equal vectors have equal words.
 
-The witness words hold a bit set over the items ranked by ascending id:
-rank r is bit 63 - r % 64 of word r // 64. Equal-vector, equal-weight
+The witness words hold a bit set over the items ranked by ascending id,
+the lowest rank in the top bit of word 0. Equal-vector, equal-weight
 witnesses have the same size, and the one with the smaller sorted id
 tuple holds the least id of their symmetric difference, so its words
 compare larger as unsigned integers, word 0 first. That settles every
@@ -73,7 +69,8 @@ missing before anything is written. A build compiles into a temporary
 directory inside the cache and is renamed into place. Smaller solves,
 and every solve when no compiler is found, the compiler fails, or an
 OSError, a missing home directory or a ``$CC`` that ``shlex`` cannot
-split stops the build or the load, take the Python twin. ``SolveStats.backend`` names the kernel that ran.
+split stops the build or the load, take the Python twin.
+``SolveStats.backend`` names the kernel that ran.
 
 Both kernels take a row, the next row's first column lo, ks, the guard
 mask H of a lane word and the item's record, and return the next row,
@@ -98,15 +95,11 @@ counts it only when every column holds it alone, which is when the
 frontier is empty, and ``solve`` checks that once, after the sweep. The
 C kernel gets the buffers' addresses as bare pointers, so its ctypes
 wrapper allocates the next row itself, room for two labels for every
-input label, and trims it to what C wrote; C allocates nothing. The
-wrapper checks first what C cannot: that L, off and the item are
-``array``s of typecodes "Q", "q" and "Q", that ks leaves the item its
-weight and at least one witness word, that the item weighs at least 1
-and less than 2**63, that lo leaves the next row at least one column,
-and that L holds off[-1] records of the item's length, and raises
-ValueError before any C code runs if not. C checks each column's
-offsets, those below lo too, when it reaches them and refuses
-(ValueError too) any that decrease or point past the row.
+input label, and trims it to what C wrote; C allocates nothing. Since C
+reads and writes through those pointers unchecked, the wrapper refuses
+any buffer or scalar that does not fit the row before any C code runs,
+and C refuses a column's offsets, those below lo too, that decrease or
+point past the row when it reaches them: ValueError either way.
 """
 
 from __future__ import annotations
@@ -126,12 +119,14 @@ from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 
 __all__ = ["label_bound", "solve"]
 
-# Solves of at least this many cells (n * (W + 1)) run the C kernel. At
-# 2,000 cells the Python twin takes 2-7 us per cell (4-14 ms a solve), the
-# C kernel 0.05-0.2 us plus 1.2-1.8 ms to load a cached build, and building
-# the C kernel once, cached for later processes, 0.15-0.24 s (2-vCPU VM,
-# gcc 12.2, Python 3.11): ten to sixty Python solves of that size. Smaller
-# solves, such as a cold start on a tiny instance, never start the compiler.
+# Solves of at least this many cells (n * (W + 1)) run the C kernel. On a
+# 2,440-cell instance (n=40, k=3, wmax=9, W=60) the Python twin takes
+# 1.3-1.9 us per cell, the C kernel 0.08-0.14 us, loading a cached build in a
+# new process 1.0-1.2 ms, and a build, cached for later processes, 0.13-0.18 s
+# (2-vCPU VM, gcc 12.2, Python 3.11). The threshold keeps small solves, such
+# as a 44-cell cold start or the benchmark's 364-658-cell batch instances, on
+# the twin, so they never start the compiler; the 2,440-cell instance and the
+# dense (4,700-5,600 cells) and wide (20,200) workloads run C.
 _KERNEL_MIN_CELLS = 2_000
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -176,9 +171,7 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         kernel, stats.backend = _row_kernel_py, "python"
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
-    nw = -(-n // 64)
-    ks, H, _, where = lanes = _lanes(k, n)
-    R = ks + 1 + nw
+    ks, R, H, _, where = lanes = _lanes(k, n)
     # row 0: the all-zero label (empty subset) in every column of its window
     row = _zeros("Q", (W + 1 - starts[0]) * R), array("q", range(W + 2 - starts[0]))
     rows = [row]
@@ -215,8 +208,7 @@ def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
     sorted.
     """
     L, off = row
-    R = len(L) // off[-1]  # every column holds at least the zero label
-    ks, _, mask, where = lanes
+    ks, R, _, mask, where = lanes
     out = []
     for i in range(off[x] * R, off[x + 1] * R, R):
         weight = L[i + ks]
@@ -235,19 +227,31 @@ def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
     return tuple(out)
 
 
-def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
-    """Record layout of k suffix sums of at most n: ``(ks, H, mask, where)``.
+def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
+    """Layout of a label's record, for k levels and n items: ``(ks, R, H, mask, where)``.
 
-    A sum sits in a lane of n.bit_length() + 1 bits, whose top bit is a
-    guard, 64 // that many lanes to a word: ks lane words in all. H is a
-    lane word's guard mask, mask one lane's, and where[j] the (word,
-    shift) of suffix sum j. ``solve`` encodes each item's record with
-    this table and ``_cell_labels`` decodes each reported label with it.
+    A record is R = ks + 1 + ceil(n/64) uint64 words:
+
+    - words 0..ks-1, the lane words, hold the k suffix sums. Sum j sits
+      in a lane of lane = n.bit_length() + 1 bits, lane j % per of word
+      j // per, at bit (j % per) * lane, with per = 64 // lane lanes to a
+      word, so ks = ceil(k / per) and no lane straddles two words. A sum
+      never exceeds n, so the top bit of each lane, its guard, stays
+      clear. H is a lane word's guard mask, mask one lane's, and where[j]
+      the (word, shift) of sum j;
+    - word ks holds the weight;
+    - the witness words after it hold a bit set over the items ranked by
+      ascending id: rank r is bit 63 - r % 64 of word ks + 1 + r // 64.
+
+    ``solve`` encodes each item's record with this table and
+    ``_cell_labels`` decodes each reported label with it.
     """
     lane = n.bit_length() + 1
     per = 64 // lane
+    ks = -(-k // per)
     H = sum(1 << (i * lane + lane - 1) for i in range(per))
-    return -(-k // per), H, (1 << lane) - 1, [(j // per, j % per * lane) for j in range(k)]
+    where = [(j // per, j % per * lane) for j in range(k)]
+    return ks, ks + 1 + -(-n // 64), H, (1 << lane) - 1, where
 
 
 def _row_kernel_py(row, lo, ks, H, item):

@@ -144,7 +144,8 @@ def parse_instance(text: str) -> Instance:
     if not fields:
         raise ParseError(1, "empty file; expected 'qknap 1' header")
 
-    def take(idx: int, keyword: str) -> tuple[int, list[str]]:
+    def take(idx: int, keyword: str) -> int:
+        """The value of header line idx, which must read '<keyword> <integer>'."""
         if idx >= len(fields):
             raise ParseError(fields[-1][0], f"unexpected end of file; expected '{keyword}'")
         lineno, toks = fields[idx]
@@ -152,25 +153,17 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(lineno, f"expected '{keyword}', found '{toks[0]}'")
         if len(toks) != 2:
             raise ParseError(lineno, f"'{keyword}' takes exactly one value")
-        return lineno, toks
-
-    def int_value(lineno: int, toks: list[str]) -> int:
         try:
             return int(toks[1])
         except ValueError:
-            raise ParseError(lineno, f"'{toks[0]}' value must be an integer, found '{toks[1]}'")
+            raise ParseError(lineno, f"'{keyword}' value must be an integer, found '{toks[1]}'")
 
-    lineno, toks = take(0, "qknap")
-    if int_value(lineno, toks) != 1:
-        raise ParseError(lineno, f"unsupported format version '{toks[1]}'")
-    lineno, toks = take(1, "levels")
-    k = int_value(lineno, toks)
-    lineno, toks = take(2, "capacity")
-    capacity = int_value(lineno, toks)
-    count_line, toks = take(3, "items")
-    n = int_value(count_line, toks)
+    if take(0, "qknap") != 1:
+        lineno, (_, version) = fields[0]
+        raise ParseError(lineno, f"unsupported format version '{version}'")
+    k, capacity, n = take(1, "levels"), take(2, "capacity"), take(3, "items")
     if n < 0:
-        raise ParseError(count_line, f"item count must be >= 0, got {n}")
+        raise ParseError(fields[3][0], f"item count must be >= 0, got {n}")
 
     item_fields = fields[4:]
     if len(item_fields) != n:

@@ -226,6 +226,18 @@ def test_check_empty_subsets(data_dir):
     assert proc.stdout.splitlines()[0] == "verdict=equivalent"
 
 
+@pytest.mark.parametrize(
+    "a, b, refused",
+    [("x", "1", "--a: invalid integer list 'x'"), ("1", "1,,2", "--b: invalid integer list '1,,2'")],
+)
+def test_check_refuses_a_malformed_id_list_as_a_usage_error(data_dir, a, b, refused):
+    proc = run_cli("check", data_dir / "table1.qknap", "--a", a, "--b", b)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"qknap check: error: argument {refused}" in proc.stderr
+
+
 def test_bench_sweep_shape():
     proc = run_cli(
         "bench", "--n", "4,6", "--k", "3", "--capacity", "8", "--wmax", "4", "--seeds", 2
@@ -262,6 +274,7 @@ def test_bench_requires_capacity_or_ratio():
         ("--k", "2", "--ratio", "1/0"),
         ("--k", "2", "--ratio", "3/2"),
         ("--k", "2,0", "--capacity", "5"),  # the bad k comes last in the sweep
+        ("--k", "2", "--capacity", "5", "--n", "4,"),  # an empty token
     ]:
         proc = run_cli(*base, *bad)
         assert proc.returncode == 2, bad

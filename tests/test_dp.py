@@ -132,7 +132,7 @@ def test_capacity_beyond_the_total_weight_is_clamped():
     inst = generate_instance(GeneratorParams(n=8, k=1, weight_max=5, seed=3, capacity=1))
     n, total = len(inst.items), sum(item.weight for item in inst.items)
     at = solve(replace(inst, capacity=total))
-    # unclamped, this solve would allocate about 100 MB, not fail
+    # the windows already give row 0 only total + 1 columns; the clamp sets cells
     beyond = solve(replace(inst, capacity=total + 10**6))
     assert beyond.labels == at.labels
     assert beyond.stats.cells == at.stats.cells == n * (total + 1)
@@ -194,7 +194,8 @@ def test_item_order_does_not_change_the_answer(inst, rng):
     shuffled = list(inst.items)
     rng.shuffle(shuffled)
     orders = [replace(inst, items=inst.items[::-1]), replace(inst, items=tuple(shuffled))]
-    # every solve sweeps items in input order; the witness rule must not depend on it
+    # a solve sweeps items heaviest first, ties in input order, and --matrix in
+    # input order; the witness rule must not depend on either
     want = solve(inst, keep_matrix=True).labels
     for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
@@ -515,6 +516,7 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
         monkeypatch.setenv("CC", "false")
         return "no C row kernel: ", f"{cache}/qknap"
     if case == "source-unreadable":
+        monkeypatch.setenv("CC", "false")  # any $CC that splits: the load stops before it
         monkeypatch.setattr(qknap.dp, "__file__", str(tmp / "src" / "dp.py"))
         return "no C row kernel: ", f"{tmp}/src/_rowkernel.c"
     if case == "cached-build-unloadable":
@@ -526,6 +528,7 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
         lib.write_text("garbage")
         return "no C row kernel: ", str(lib)
     assert case == "no-home"  # no $HOME, no $XDG_CACHE_HOME and a uid pwd does not know
+    monkeypatch.setenv("CC", "false")  # any $CC that splits: the load stops before it
     monkeypatch.delenv("HOME", raising=False)
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.setattr(pwd, "getpwuid", _unknown_uid)
