@@ -12,13 +12,17 @@ Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 3 resource guard: enumeration guard tripped or out of memory.
 
 Each subcommand imports the modules it needs when it runs, so that a
-``solve`` process loads only cli, instance_io, model and dp.
+``solve`` process loads only cli, instance_io, model and dp. argparse is
+loaded only when a request needs it: ``main`` first tries ``_served``,
+which takes the plain requests ``solve PATH [--matrix] [--json]`` and
+``greedy PATH r|w`` itself, and hands every other argv, help and usage
+errors included, to ``_build_parser``, which remains the one grammar.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .instance_io import (
@@ -26,6 +30,7 @@ from .instance_io import (
     format_vector,
     frontier_json,
     generate_instance,
+    parse_int,
     read_instance,
     serialize_frontier,
     serialize_greedy,
@@ -34,6 +39,7 @@ from .instance_io import (
 from .model import rank_cardinality_vector, total_weight
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 __all__ = ["main"]
@@ -127,6 +133,7 @@ def _cmd_check(args) -> int:
 
 
 def _ratio(text: str) -> Fraction:
+    import argparse
     from fractions import Fraction
 
     try:
@@ -135,10 +142,21 @@ def _ratio(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid ratio '{text}'") from None
 
 
+def _int(text: str) -> int:
+    import argparse
+
+    try:
+        return parse_int(text)
+    except ValueError:  # argparse's own words for a failed type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     """Comma-separated integers; an empty or blank text is the empty list."""
+    import argparse
+
     try:
-        return [int(t) for t in text.split(",")] if text.strip() else []
+        return [parse_int(t) for t in text.split(",")] if text.strip() else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer list '{text}'") from None
 
@@ -169,6 +187,8 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qknap",
         description="0/1 knapsack with ordinal item levels: exact frontier and greedy solvers.",
@@ -196,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("gen", help="emit a deterministic random instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     cap = p.add_mutually_exclusive_group(required=True)
-    cap.add_argument("--capacity", type=int)
+    cap.add_argument("--capacity", type=_int)
     cap.add_argument("--ratio", type=_ratio, help="capacity = ceil(ratio * total weight)")
-    p.add_argument("--wmax", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--wmax", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="dominance verdict between two subsets")
@@ -225,14 +245,32 @@ def _build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--capacity", type=_int_list)
     cap.add_argument("--ratio", type=lambda s: [_ratio(t) for t in s.split(",")])
     p.add_argument("--wmax", type=_int_list, required=True)
-    p.add_argument("--seeds", type=int, required=True, help="use seeds 1..N")
+    p.add_argument("--seeds", type=_int, required=True, help="use seeds 1..N")
     p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
+def _served(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` gives a plain solve or greedy request.
+
+    Served: ``solve PATH`` with any of ``--matrix`` and ``--json`` after
+    it, and ``greedy PATH r|w``, where PATH does not start with '-'.
+    Anything else is None, for argparse to parse.
+    """
+    if len(argv) < 2 or argv[1].startswith("-"):
+        return None
+    command, instance, *rest = argv
+    if command == "solve" and set(rest) <= {"--matrix", "--json"}:
+        flags = {"matrix": "--matrix" in rest, "json": "--json" in rest}
+        return SimpleNamespace(command=command, instance=instance, **flags, func=_cmd_solve)
+    if command == "greedy" and rest in (["r"], ["w"]):
+        return SimpleNamespace(command=command, instance=instance, mode=rest[0], func=_cmd_greedy)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _served(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ParseError and InvalidInstanceError among them

@@ -9,7 +9,10 @@ ignored:
     items <n>
     <id> <weight> <level>        (n lines, items in canonical order)
 
-``read_instance`` reads such a file and ``parse_instance`` its text.
+Every value is a decimal integer, read by ``parse_int``: ASCII digits
+after an optional ``-``, the one rule for integers from the command
+line too. ``read_instance`` reads such a file and ``parse_instance``
+its text.
 
 Every format a solver result is printed in lives here, and the CLI
 only writes what these functions return:
@@ -63,6 +66,18 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def parse_int(text: str) -> int:
+    """A decimal integer: ASCII digits after an optional '-'.
+
+    Anything else raises ValueError, even what ``int`` accepts, such as
+    '+5', ' 5', '1_0' or non-ASCII digits. A negative value is read, so
+    that the check that refuses it can name it.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"invalid integer '{text}'")
 
 
 class SplitMix64:
@@ -154,7 +169,7 @@ def parse_instance(text: str) -> Instance:
         if len(toks) != 2:
             raise ParseError(lineno, f"'{keyword}' takes exactly one value")
         try:
-            return int(toks[1])
+            return parse_int(toks[1])
         except ValueError:
             raise ParseError(lineno, f"'{keyword}' value must be an integer, found '{toks[1]}'")
 
@@ -176,7 +191,7 @@ def parse_instance(text: str) -> Instance:
         if len(toks) != 3:
             raise ParseError(lineno, f"item line needs 'id weight level', found {len(toks)} fields")
         try:
-            ident, weight, level = (int(t) for t in toks)
+            ident, weight, level = map(parse_int, toks)
         except ValueError:
             raise ParseError(lineno, f"item line fields must be integers: '{' '.join(toks)}'")
         items.append(Item(id=ident, weight=weight, level=level))

@@ -1,11 +1,15 @@
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qknap.dp
 from helpers import drop_wall_time, run_cli
-from qknap.cli import main
+from qknap.cli import _build_parser, _served, main
 
 
 def test_solve_table1_text(data_dir):
@@ -173,6 +177,10 @@ def test_gen_rejects_bad_params():
     zero = run_cli("gen", "--n", 4, "--k", 2, "--ratio", "1/0", "--wmax", 4, "--seed", 1)
     assert zero.returncode == 2
     assert "Traceback" not in zero.stderr
+    digit = run_cli("gen", "--n", "\u0663", "--k", 2, "--capacity", 5, "--wmax", 4, "--seed", 1)
+    assert digit.returncode == 2  # int() reads an Arabic-Indic 3
+    assert digit.stdout == ""
+    assert "argument --n: invalid int value: '\u0663'" in digit.stderr
 
 
 def test_gen_ratio_mode():
@@ -228,7 +236,11 @@ def test_check_empty_subsets(data_dir):
 
 @pytest.mark.parametrize(
     "a, b, refused",
-    [("x", "1", "--a: invalid integer list 'x'"), ("1", "1,,2", "--b: invalid integer list '1,,2'")],
+    [
+        ("x", "1", "--a: invalid integer list 'x'"),
+        ("1", "1,,2", "--b: invalid integer list '1,,2'"),
+        ("\u0661", "", "--a: invalid integer list '\u0661'"),  # int() reads an Arabic-Indic 1
+    ],
 )
 def test_check_refuses_a_malformed_id_list_as_a_usage_error(data_dir, a, b, refused):
     proc = run_cli("check", data_dir / "table1.qknap", "--a", a, "--b", b)
@@ -275,6 +287,8 @@ def test_bench_requires_capacity_or_ratio():
         ("--k", "2", "--ratio", "3/2"),
         ("--k", "2,0", "--capacity", "5"),  # the bad k comes last in the sweep
         ("--k", "2", "--capacity", "5", "--n", "4,"),  # an empty token
+        ("--k", "2", "--capacity", "5", "--n", "4, 5"),  # int() reads " 5"
+        ("--k", "2", "--capacity", "5", "--seeds", "+2"),
     ]:
         proc = run_cli(*base, *bad)
         assert proc.returncode == 2, bad
@@ -329,3 +343,35 @@ def test_out_of_memory_exits_3(data_dir, monkeypatch, capsys, exc, message):
     monkeypatch.setattr(qknap.dp, "solve", solve)
     assert main(["solve", str(data_dir / "table1.qknap")]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_SUBCOMMANDS = ("solve", "greedy", "enumerate", "gen", "check", "bench")
+_PATHS = ("table1.qknap", "", "-", "-table1.qknap")
+_AFTER_PATH = ("r", "w", "x", "--", "-h", "--help", "--version", "--matrix", "--json", "--mat", "--matrix=1")
+_ARGV_TOKEN = st.sampled_from(_SUBCOMMANDS + _PATHS + _AFTER_PATH)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_ARGV_TOKEN, max_size=5)
+    # solve or greedy, then a path: the served shapes and their near misses come up often
+    | st.tuples(
+        st.sampled_from(("solve", "greedy")),
+        st.sampled_from(_PATHS),
+        st.lists(st.sampled_from(_AFTER_PATH), max_size=3),
+    ).map(lambda t: [t[0], t[1], *t[2]])
+)
+@example(["solve", "table1.qknap"])
+@example(["solve", "table1.qknap", "--json", "--matrix"])
+@example(["greedy", "table1.qknap", "w"])
+@example(["solve", "table1.qknap", "--mat"])  # an abbreviation only argparse takes
+@example(["solve", "-table1.qknap"])
+def test_served_requests_parse_as_the_argparse_grammar_does(argv):
+    served = _served(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = vars(_build_parser().parse_args(argv))
+    except SystemExit:  # help, version and usage errors are argparse's alone
+        assert served is None
+    else:
+        assert served is None or vars(served) == parsed

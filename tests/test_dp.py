@@ -639,8 +639,9 @@ def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
 
 @needs_cc
 def test_a_warm_solve_loads_only_what_it_runs(tmp_path):
-    # With the kernel already built, a solve process needs neither the compiler
-    # toolchain nor the subcommands it does not run.
+    # With the kernel already built, a solve or greedy process needs neither the
+    # compiler toolchain nor the subcommands it does not run, and a plain request
+    # is served without argparse.
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     (tmp_path / "big.qknap").write_text(serialize_instance(big))
     qknap.dp._load_row_kernel.cache_clear()
@@ -650,15 +651,22 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path):
         "import sys; bare = set(sys.modules); from qknap.cli import main; code = main(sys.argv[1:]); "
         'sys.stderr.write(" ".join(set(sys.modules) - bare)); sys.exit(code)'
     )
-    run = subprocess.run(
-        [sys.executable, "-c", script, "solve", str(tmp_path / "big.qknap")],
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    assert "# backend=c-kernel" in run.stdout.splitlines()
-    loaded = set(run.stderr.split())
-    assert {"qknap.cli", "qknap.instance_io", "qknap.model", "qknap.dp", "ctypes"} <= loaded
-    unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
-    unused |= {"qknap.greedy", "qknap.dominance", "qknap.oracle"}
-    assert loaded & unused == set()
+    for command, rest, runs in [
+        ("solve", [], {"qknap.dp", "ctypes"}),
+        ("solve", ["--matrix"], {"qknap.dp", "ctypes"}),
+        ("greedy", ["r"], {"qknap.greedy"}),
+    ]:
+        run = subprocess.run(
+            [sys.executable, "-c", script, command, str(tmp_path / "big.qknap"), *rest],
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        if command == "solve":
+            assert "# backend=c-kernel" in run.stdout.splitlines()
+        loaded = set(run.stderr.split())
+        assert {"qknap.cli", "qknap.instance_io", "qknap.model"} | runs <= loaded
+        unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
+        unused |= {"argparse", "gettext", "locale"}
+        unused |= {"qknap.dp", "qknap.greedy", "qknap.dominance", "qknap.oracle"} - runs
+        assert loaded & unused == set(), (command, rest)

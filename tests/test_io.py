@@ -22,6 +22,7 @@ from qknap import (
     serialize_instance,
     solve,
 )
+from qknap.instance_io import parse_int
 
 TABLE1_TEXT = """qknap 1
 levels 4
@@ -62,12 +63,30 @@ def test_parse_ignores_comments_and_blanks(table1):
         ("qknap 1\nlevels 1\ncapacity 0\nitems 1\n1 one 1\n", 5, "must be integers"),
         ("qknap 1\nlevels 1\ncapacity 0\nitems -1\n", 4, "item count must be >= 0"),
         ("qknap 1\nlevels 1\ncapacity 0\nitems -2\n1 1 1\n", 4, "item count must be >= 0"),
+        # int() reads these three values: 5, 1 and 10
+        ("qknap 1\nlevels 1\ncapacity \u0665\nitems 0\n", 3, "'capacity' value must be an integer"),
+        ("qknap +1\nlevels 1\ncapacity 0\nitems 0\n", 1, "'qknap' value must be an integer"),
+        ("qknap 1\nlevels 1\ncapacity 9\nitems 1\n1 1_0 1\n", 5, "must be integers"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(ParseError, match=message) as info:
         parse_instance(text)
     assert f"line {line}:" in str(info.value)
+
+
+@given(st.integers())
+def test_parse_int_reads_every_integer_python_writes(value):
+    assert parse_int(str(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["+5", " 5", "5 ", "1_0", "\u0665", "-\u0663", "", "-", "--1", "0x1f", "1.0", "\u00b2"]
+)
+def test_parse_int_refuses_what_is_not_ascii_digits(text):
+    # int() reads the first six
+    with pytest.raises(ValueError, match="invalid integer"):
+        parse_int(text)
 
 
 _KEYWORDS = ("qknap", "levels", "capacity", "items")
