@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 infeasible input subset, 2 input error,
 3 resource guard: enumeration guard tripped or out of memory.
 
 Each subcommand imports the modules it needs when it runs, so that a
-``solve`` process loads only cli, instance_io, model and dp. argparse is
+``solve`` process loads only cli, instance_io, model and dp, and none
+of them imports ``dataclasses`` or ``typing`` to do so. argparse is
 loaded only when a request needs it: ``main`` first tries ``_served``,
 which takes the plain requests ``solve PATH [--matrix] [--json]`` and
 ``greedy PATH r|w`` itself, and hands every other argv, help and usage
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .instance_io import (
     GeneratorParams,
@@ -38,7 +38,8 @@ from .instance_io import (
 )
 from .model import rank_cardinality_vector, total_weight
 
-if TYPE_CHECKING:
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # named in annotations only, which are never evaluated
     import argparse
     from fractions import Fraction
 
@@ -133,11 +134,13 @@ def _cmd_check(args) -> int:
 
 
 def _ratio(text: str) -> Fraction:
+    """'P/Q' or 'P', each an integer as ``parse_int`` reads it."""
     import argparse
     from fractions import Fraction
 
     try:
-        return Fraction(text)
+        p, q = map(parse_int, text.split("/")) if "/" in text else (parse_int(text), 1)
+        return Fraction(p, q)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid ratio '{text}'") from None
 

@@ -10,9 +10,9 @@ fills the capacity exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .model import Instance, RankVector, Subset, rank_cardinality_vector
+from .model import Instance, rank_cardinality_vector
 
 __all__ = ["Guarantee", "GreedyResult", "greedy_r", "greedy_w", "r_lex_order", "w_lex_order"]
 
@@ -25,12 +25,10 @@ class Guarantee(enum.Enum):
     NO_GUARANTEE = "NoGuarantee"
 
 
-@dataclass(frozen=True)
-class GreedyResult:
-    subset: Subset
-    vector: RankVector
-    weight: int
-    guarantee: Guarantee
+class GreedyResult(namedtuple("GreedyResult", "subset vector weight guarantee")):
+    """The chosen ids, their rank cardinality vector, total weight and guarantee."""
+
+    __slots__ = ()
 
 
 def r_lex_order(inst: Instance) -> tuple[int, ...]:

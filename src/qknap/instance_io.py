@@ -32,14 +32,14 @@ parameters produce byte-identical files everywhere.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import ceil
-from typing import TYPE_CHECKING, Iterable
 
-from .model import FrontierResult, Instance, Item
+from .model import FrontierResult, Instance, Item, SolveStats
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # named in annotations only, which are never evaluated
     from fractions import Fraction
+    from typing import Iterable
 
     from .greedy import GreedyResult
 
@@ -106,32 +106,35 @@ class SplitMix64:
                 return z % m + 1
 
 
-@dataclass(frozen=True)
 class GeneratorParams:
     """Parameters for deterministic instance generation.
 
     Exactly one of ``capacity`` (fixed W) or ``ratio`` (W = ceil of
-    ratio times the total weight) must be given.
+    ratio times the total weight) must be given. Construction checks
+    them and raises ValueError on any that is out of range.
     """
 
-    n: int
-    k: int
-    weight_max: int
-    seed: int
-    capacity: int | None = None
-    ratio: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.weight_max < 1:
-            raise ValueError(f"weight_max must be >= 1, got {self.weight_max}")
-        if (self.capacity is None) == (self.ratio is None):
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        weight_max: int,
+        seed: int,
+        capacity: int | None = None,
+        ratio: Fraction | None = None,
+    ) -> None:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if weight_max < 1:
+            raise ValueError(f"weight_max must be >= 1, got {weight_max}")
+        if (capacity is None) == (ratio is None):
             raise ValueError("exactly one of capacity or ratio must be set")
-        if self.ratio is not None and not 0 < self.ratio <= 1:
-            raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
+        if ratio is not None and not 0 < ratio <= 1:
+            raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+        self.n, self.k, self.weight_max, self.seed = n, k, weight_max, seed
+        self.capacity, self.ratio = capacity, ratio
 
 
 def generate_instance(p: GeneratorParams) -> Instance:
@@ -240,7 +243,8 @@ def _format_items(ids: Iterable[int]) -> str:
 
 def _stats(result: FrontierResult) -> dict:
     """The label count, then every ``SolveStats`` field in field order."""
-    return {"labels": len(result.labels), **asdict(result.stats)}
+    stats = result.stats
+    return {"labels": len(result.labels), **{f: getattr(stats, f) for f in SolveStats.__slots__}}
 
 
 def serialize_frontier(result: FrontierResult) -> str:

@@ -6,13 +6,25 @@ of items is summarized by its rank cardinality vector: the per-level
 count of selected items. All comparisons between selections go through
 those count vectors, never through numeric profits. The solvers report
 their results as the frontier types defined here.
+
+No record here is built by ``dataclasses``, which a process would
+otherwise import (with ``inspect``, ``ast`` and ``dis``) on every
+request. ``Item``, ``Label`` and ``FrontierResult`` are named tuples;
+``SolveStats`` is a mutable ``__slots__`` class whose slots are the
+``# stats`` fields in order; ``Instance`` is a ``__slots__`` class that
+validates on construction and refuses assignment. ``Instance`` and
+``Item`` keep the dataclass protocol, ``dataclasses.replace``
+included, through ``__dataclass_fields__``, built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # named in annotations only, which are never evaluated
+    from typing import Iterable
 
 __all__ = [
     "FrontierResult",
@@ -43,33 +55,72 @@ class InvalidInstanceError(ValueError):
     """Raised when an instance, subset, or item violates an invariant."""
 
 
-@dataclass(frozen=True)
-class Item:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a class with ``_fields``, built on first read.
+
+    It keeps ``dataclasses.replace``, ``fields`` and ``is_dataclass``
+    working on the class while a process that never calls them never
+    imports ``dataclasses``. The first read caches the fields on the
+    class in the descriptor's place.
+    """
+
+    def __get__(self, obj: object, owner: type) -> dict:
+        import dataclasses
+
+        owner.__dataclass_fields__ = dataclasses.make_dataclass(
+            owner.__name__, owner._fields
+        ).__dataclass_fields__
+        return owner.__dataclass_fields__
+
+
+class Item(namedtuple("Item", "id weight level")):
     """One knapsack item: unique id, positive weight, level in 1..k."""
 
-    id: int
-    weight: int
-    level: int
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
 
-@dataclass(frozen=True)
 class Instance:
     """A problem instance: k levels, capacity, and items in input order.
 
     Valid once it exists: construction, ``dataclasses.replace`` included,
     runs :func:`validate_instance` and raises
     :class:`InvalidInstanceError` on any broken invariant, so solvers
-    take an instance as it comes.
+    take an instance as it comes. Its fields cannot be assigned.
     """
 
-    k: int
-    capacity: int
-    items: tuple[Item, ...]
+    __slots__ = ("k", "capacity", "items", "__dict__")  # __dict__ holds the cached by_id
+    _fields = ("k", "capacity", "items")
+    __dataclass_fields__ = _DataclassFields()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.items, tuple):
-            object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, k: int, capacity: int, items: Iterable[Item]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "items", items if isinstance(items, tuple) else tuple(items))
         validate_instance(self)  # the module-level name, which perfbench's tracer wraps
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def _astuple(self) -> tuple:
+        return self.k, self.capacity, self.items
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"Instance(k={self.k!r}, capacity={self.capacity!r}, items={self.items!r})"
+
+    def __reduce__(self) -> tuple:
+        return Instance, self._astuple()
 
     @cached_property
     def by_id(self) -> dict[int, Item]:
@@ -80,8 +131,7 @@ class Instance:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(namedtuple("Label", "vector weight items")):
     """A frontier entry: count vector, total weight, and one witness subset.
 
     ``items`` is the ascending tuple of item ids of the witness. Several
@@ -89,12 +139,9 @@ class Label:
     weight, ties broken by lexicographically smallest id tuple.
     """
 
-    vector: RankVector
-    weight: int
-    items: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass
 class SolveStats:
     """Counters from one solver run.
 
@@ -115,24 +162,31 @@ class SolveStats:
     ``--json`` stats key (see ``qknap.instance_io``).
     """
 
-    cells: int = 0
-    max_cell: int = 0
-    comparisons: int = 0
-    wall_time: float = 0.0
-    backend: str = ""
+    __slots__ = ("cells", "max_cell", "comparisons", "wall_time", "backend")
+
+    def __init__(
+        self,
+        cells: int = 0,
+        max_cell: int = 0,
+        comparisons: int = 0,
+        wall_time: float = 0.0,
+        backend: str = "",
+    ) -> None:
+        self.cells = cells
+        self.max_cell = max_cell
+        self.comparisons = comparisons
+        self.wall_time = wall_time
+        self.backend = backend
 
 
-@dataclass(frozen=True)
-class FrontierResult:
+class FrontierResult(namedtuple("FrontierResult", "labels stats matrix", defaults=(None,))):
     """Non-dominated labels in canonical order, plus run counters.
 
     ``matrix``, kept on request, holds every DP cell: ``matrix[i][x]``
     for i in 0..n and x in 0..W.
     """
 
-    labels: tuple[Label, ...]
-    stats: SolveStats
-    matrix: tuple[tuple[tuple[Label, ...], ...], ...] | None = None
+    __slots__ = ()
 
 
 def validate_instance(raw: Instance) -> Instance:

@@ -181,6 +181,12 @@ def test_gen_rejects_bad_params():
     assert digit.returncode == 2  # int() reads an Arabic-Indic 3
     assert digit.stdout == ""
     assert "argument --n: invalid int value: '\u0663'" in digit.stderr
+    # a ratio is two integers as parse_int reads them: no other digits, blanks or decimals
+    for bad in ["\u0661/\u0662", " 1/2", "1/2 ", "0.5", "1/", "/2", "1/2/3"]:
+        proc = run_cli("gen", "--n", 4, "--k", 2, "--ratio", bad, "--wmax", 4, "--seed", 1)
+        assert proc.returncode == 2, bad
+        assert proc.stdout == "", bad
+        assert f"argument --ratio: invalid ratio '{bad}'" in proc.stderr
 
 
 def test_gen_ratio_mode():
@@ -285,6 +291,9 @@ def test_bench_requires_capacity_or_ratio():
         ("--k", "2", "--capacity", "5", "--ratio", "1/2"),
         ("--k", "2", "--ratio", "1/0"),
         ("--k", "2", "--ratio", "3/2"),
+        ("--k", "2", "--ratio", "1/2,\u0661/\u0662"),
+        ("--k", "2", "--ratio", "1/2, 1/3"),
+        ("--k", "2", "--ratio", "0.5"),
         ("--k", "2,0", "--capacity", "5"),  # the bad k comes last in the sweep
         ("--k", "2", "--capacity", "5", "--n", "4,"),  # an empty token
         ("--k", "2", "--capacity", "5", "--n", "4, 5"),  # int() reads " 5"

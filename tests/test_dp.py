@@ -668,5 +668,6 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path):
         assert {"qknap.cli", "qknap.instance_io", "qknap.model"} | runs <= loaded
         unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
         unused |= {"argparse", "gettext", "locale"}
+        unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize"}
         unused |= {"qknap.dp", "qknap.greedy", "qknap.dominance", "qknap.oracle"} - runs
         assert loaded & unused == set(), (command, rest)
