@@ -239,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="CSV sweep over generated instances",
         description="One CSV row per generated instance. max_cell and comparisons are"
-        " the solve's # stats: they count the columns its sweep merges, those that can"
-        " reach W. label_bound is C(k+n, n) - 1, the bound on any cell's size.",
+        " the solve's # stats: they count the merges of its rows, in which a label"
+        " counts as weighing at least W less the weight of the items still to come."
+        " label_bound is C(k+n, n) - 1, the bound on any cell's size.",
     )
     p.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     p.add_argument("--k", type=_int_list, required=True)

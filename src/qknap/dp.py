@@ -1,29 +1,31 @@
 """Exact frontier computation by dynamic programming over label sets.
 
-The solver sweeps the items one by one and, for every capacity budget
-x in a window of 0..W, maintains the set of non-dominated rank
-cardinality vectors reachable with the items seen so far. Each vector is
-carried as a label holding its suffix-sum form, its minimal achieving
-weight, and one witness subset. Merging a cell with its extended
-predecessor keeps exactly the labels that survive the suffix-sum
-dominance test; equal vectors are collapsed to the lighter witness, then
-to the lexicographically smallest id tuple. Reported cells never include
-the empty selection's all-zero label.
+The solver sweeps the items one by one. Row i of the DP is one list of
+labels reachable with the first i items swept: each label carries a rank
+cardinality vector in suffix-sum form, its weight and one witness
+subset. A label covers another if its vector is at least as large in
+every level and, for equal vectors, if it is the lighter, then the one
+with the lexicographically smaller id tuple. Cell (i, x), the frontier
+of budget x, is the row's labels of weight at most x that no such label
+covers. Reported cells never include the empty selection's all-zero
+label.
 
 A solve reports cell (n, W) only, so it drops the items heavier than W
 and sweeps the rest heaviest first (a stable sort: equal weights keep
-input order), and each row keeps only the columns W - rem..W, where rem
-is the weight of the items still to come: no lower column can reach W
-(Toth's reduction). Heavy items first make rem fall soonest. The last
-row is column W alone. With ``keep_matrix`` every cell (i, x) is the
-frontier of the first i items of the input within budget x, so that
-solve sweeps every item in input order over every column.
+input order). Row i is sorted by clamped weight max(weight, t), where
+t = max(0, W - rem) and rem is the weight of the items still to come: a
+label of weight at most t can take any subset of them and still fit W,
+so below t only its vector counts, then the tie rule (Toth's reduction).
+Heavy items first make t rise soonest. The last row has t = W, so it is
+cell (n, W) itself, plus the zero label when that cell is empty. With
+``keep_matrix`` every row has t = 0 and the items are swept in input
+order; cell (i, x) is read from row i for every x <= W, where a label
+enters at its weight and leaves at the weight of the lightest label
+that covers it.
 
-A row is two stdlib ``array`` buffers, ``(L, off)``. L (typecode "Q",
-uint64) holds one record of R words per label, laid out by ``_lanes``
-and by it alone: the lane words, the weight, then the witness words.
-Records off[x]:off[x+1] (off of typecode "q") belong to the row's
-column x: capacity x past the row's first column.
+A row is one stdlib ``array`` of typecode "Q" (uint64), one record of R
+words per label, laid out by ``_lanes`` and by it alone: the lane words,
+the weight, then the witness words.
 
 The lane words hold the k suffix sums, which make dominance a plain
 componentwise comparison. Each sum sits in a lane of its own, ``lane``
@@ -48,9 +50,9 @@ Extending a label by an item adds the item's record, which ``solve``
 builds once per item: one in the low bit of each of the first level
 lanes, the item's weight, and its rank's witness bit. The add is word by
 word and carries out of no word: a lane sum stays at most n under its
-guard, a weight at most its capacity x <= W < 2**63, and the witness bit
-is clear in every label of the previous row, because each item is swept
-once.
+guard, a weight at most W < 2**63 plus the item's, also below 2**63,
+and the witness bit is clear in every label of the previous row,
+because each item is swept once. Extensions heavier than W are dropped.
 
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
@@ -72,34 +74,36 @@ OSError, a missing home directory or a ``$CC`` that ``shlex`` cannot
 split stops the build or the load, take the Python twin.
 ``SolveStats.backend`` names the kernel that ran.
 
-Both kernels take a row, the next row's first column lo, ks, the guard
-mask H of a lane word and the item's record, and return the next row,
-the comparisons and max_cell, the size of the next row's largest
-column: one row in, one row out. The kernels number a row's columns
-from its first one: the next row holds the input row's columns lo..
-re-based to 0, with off[0] == 0. A column x < wt of the input row
-carries over, which is right when the row starts at capacity 0, and
-``solve`` passes lo >= wt whenever it does not, so no such column
-reaches the next row. Per column they extend each label of column
-x - wt by the item once, then merge plain records, A (column x) first,
-and mark a dominated extension by setting its weight to 0, which no
-extension weighs. An A record's scan ends at the first extension that
-covers it: the extensions are distinct and non-dominated, so it covers
-none of the rest. The comparisons count the A x B record pairs each
-column's merge takes up, an upper bound on the dominance tests run. The
-kernels know nothing of the zero label: ``solve`` leaves it out of
-max_cell, and ``_cell_labels`` out of the reported cells. Every nonzero
-label dominates it, so a column keeps it only while no item swept so
-far fits there, and then holds nothing else: the kernels' max_cell
-counts it only when every column holds it alone, which is when the
-frontier is empty, and ``solve`` checks that once, after the sweep. The
-C kernel gets the buffers' addresses as bare pointers, so its ctypes
-wrapper allocates the next row itself, room for two labels for every
-input label, and trims it to what C wrote; C allocates nothing. Since C
-reads and writes through those pointers unchecked, the wrapper refuses
-any buffer or scalar that does not fit the row before any C code runs,
-and C refuses a column's offsets, those below lo too, that decrease or
-point past the row when it reaches them: ValueError either way.
+Both kernels take a row, the item's record, ks, the guard mask H of a
+lane word, the next row's t and W, and return the next row, the
+comparisons and max_cell: one row in, one row out. The candidates are
+the row's records, A, and their extensions by the item, B, whose
+records heavier than W form a suffix of B and are dropped. Both runs
+are sorted by the next row's clamped weight, and the kernels take the
+candidates in that order, A first on a tie. Each candidate is compared
+with the prefix frontier F: the kept labels that no other kept label
+covers. A covered candidate is dropped, and its scan ends there: F is
+an antichain, so it covers none of F. A kept candidate joins F and
+takes out of it every label it covers; one at its own clamped weight is
+covered in every cell it would be in, so it is marked dead by a weight
+of W + 1, which no label has, and the dead leave the row after the
+sweep. The comparisons count the candidate x F pairs the scans take up,
+an upper bound on the dominance tests run. max_cell is the largest
+size of F when the clamped weight changes or the sweep ends, which is
+the largest cell (i, x), x >= t, of the next row i. The kernels know nothing of the
+zero label: ``solve`` leaves it out of max_cell and of the reported
+labels. Every nonzero label covers it, so F keeps it only while no item
+swept so far fits, and then holds nothing else: the kernels' max_cell
+counts it only when the frontier is empty, and ``solve`` checks that
+once, after the sweep.
+
+The C kernel gets the buffers' addresses as bare pointers. It reads the
+m = len(row) / R records of the row and the item's record, and writes
+at most 2m records into the next row and at most 2m record numbers into
+F, which its ctypes wrapper allocates and then trims the next row to
+what C wrote. C allocates nothing, indexes by no value it reads from a
+record, and cannot fail: the wrapper refuses, with ValueError, any
+buffer or scalar that does not fit before any C code runs.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ import shlex
 import sys
 import time
 from array import array
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import add, attrgetter, sub
 from pathlib import Path
 
@@ -147,24 +151,24 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     its minimal-weight witness subset. With ``keep_matrix`` every cell
     of the DP table is retained and materialized (memory grows with
     n*W; meant for small instances and debugging). Without it the
-    capacity is first clamped to the total weight, beyond which every
-    column repeats the last, so ``stats.cells`` counts n * (min(W, total
-    weight) + 1) cells, though the sweep merges only the columns that
-    can reach W, heaviest item first: ``comparisons`` and ``max_cell``
-    count those.
+    capacity is first clamped to the total weight, so ``stats.cells``
+    counts n * (min(W, total weight) + 1) cells, though no row holds a
+    record per cell: each row holds its labels, clamped below the weight
+    from which the items still to come can reach W, heaviest item first,
+    and ``comparisons`` and ``max_cell`` count the merges of those rows.
     """
     t0 = time.perf_counter()
     n, k, W = len(inst.items), inst.k, inst.capacity
-    if keep_matrix:  # cells of input prefixes, every column: all items in input order
-        items, starts = inst.items, [0] * (n + 1)
+    if keep_matrix:  # cells of input prefixes, unclamped: all items in input order
+        items, clamps = inst.items, [0] * n
     else:
         W = min(W, sum(item.weight for item in inst.items))
         fit = [item for item in inst.items if item.weight <= W]
         # heaviest first; the sort is stable, so equal weights keep input order
         items = sorted(fit, key=attrgetter("weight"), reverse=True)
-        # row i holds columns starts[i]..W: those the items after the i-th can lift to W
-        rem = accumulate([item.weight for item in reversed(items)], initial=0)
-        starts = [max(0, W - r) for r in rem][::-1]
+        # row i clamps at W - (weight of the items after the i-th), which lift any label below to W
+        after = accumulate([item.weight for item in items[:0:-1]], initial=0)
+        clamps = [max(0, W - r) for r in after][::-1]
     stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
     kernel = _load_row_kernel()[0] if stats.cells >= _KERNEL_MIN_CELLS else None
     if kernel is None:
@@ -172,26 +176,24 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     ks, R, H, _, where = lanes = _lanes(k, n)
-    # row 0: the all-zero label (empty subset) in every column of its window
-    row = _zeros("Q", (W + 1 - starts[0]) * R), array("q", range(W + 2 - starts[0]))
+    row = _zeros("Q", R)  # row 0: the all-zero label (empty subset)
     rows = [row]
-    for item, lo, next_lo in zip(items, starts, starts[1:]):
+    for item, t in zip(items, clamps):
         rec = _zeros("Q", R)  # what extending a label by the item adds
         for q, shift in where[: item.level]:
             rec[q] += 1 << shift
         r = rank[item.id]
         rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
-        row, comps, mc = kernel(row, next_lo - lo, ks, H, rec)
+        row, comps, mc = kernel(row, rec, ks, H, t, W)
         stats.comparisons += comps
         stats.max_cell = max(stats.max_cell, mc)
         if keep_matrix:
             rows.append(row)
-    labels = _cell_labels(row, W - starts[-1], lanes, ids)
-    if not labels:  # every column held only the zero label, which does not count
+    matrix = tuple(_cells(r, W, lanes, ids) for r in rows) if keep_matrix else None
+    # without a matrix the last row, clamped at W, is cell (n, W)
+    labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(row, lanes, ids))
+    if not labels:  # the frontiers held only the zero label, which does not count
         stats.max_cell = 0
-    matrix = None
-    if keep_matrix:
-        matrix = tuple(tuple(_cell_labels(r, x, lanes, ids) for x in range(W + 1)) for r in rows)
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
@@ -200,31 +202,50 @@ def _zeros(typecode: str, size: int) -> array:
     return array(typecode, [0]) * size
 
 
-def _cell_labels(row, x: int, lanes, ids: list[int]) -> tuple[Label, ...]:
-    """Reported view of column x of a row: zero label stripped, canonical order.
+def _labels(row, lanes, ids: list[int]) -> list[tuple[int, Label]]:
+    """The row's labels in row order, zero label skipped: ``(lane words, Label)``.
 
-    ``lanes`` is the record layout ``_lanes(k, n)``. ``ids`` lists the
-    item ids in rank order, which is ascending, so each witness comes out
-    sorted.
+    ``lanes`` is the record layout ``_lanes(k, n)``; the lane words come
+    as one integer, word q at bit 64q. ``ids`` lists the item ids in rank
+    order, which is ascending, so each witness comes out sorted.
     """
-    L, off = row
     ks, R, _, mask, where = lanes
     out = []
-    for i in range(off[x] * R, off[x + 1] * R, R):
-        weight = L[i + ks]
+    for i in range(0, len(row), R):
+        weight = row[i + ks]
         if weight == 0:
             continue
         items = []
-        for q, word in enumerate(L[i + ks + 1 : i + R]):
+        for q, word in enumerate(row[i + ks + 1 : i + R]):
             while word:
                 top = word.bit_length() - 1
                 items.append(ids[64 * q + 63 - top])
                 word ^= 1 << top
-        sums = [L[i + q] >> shift & mask for q, shift in where]
+        sums = [row[i + q] >> shift & mask for q, shift in where]
         sums.append(0)
-        out.append(Label(tuple(map(sub, sums, sums[1:])), weight, tuple(items)))
-    out.sort(key=canonical_key)
-    return tuple(out)
+        lab = Label(tuple(map(sub, sums, sums[1:])), weight, tuple(items))
+        out.append((sum(row[i + q] << 64 * q for q in range(ks)), lab))
+    return out
+
+
+def _cells(row, W: int, lanes, ids: list[int]) -> tuple[tuple[Label, ...], ...]:
+    """Reported cells 0..W of an unclamped row (t = 0), each in canonical order.
+
+    The row is sorted by weight and holds one label per vector, so cell x
+    is cell x - 1 plus the labels of weight x, less those they cover.
+    """
+    HH = sum(lanes[2] << 64 * q for q in range(lanes[0]))
+    cells, front = [()], []  # only the zero label, never reported, weighs 0
+    for weight, new in groupby(_labels(row, lanes, ids), key=lambda p: p[1].weight):
+        for s, lab in new:
+            front = [f for f in front if ((s | HH) - f[0]) & HH != HH] + [(s, lab)]
+        cells += [cells[-1]] * (weight - len(cells)) + [_canonical(front)]
+    return tuple(cells + [cells[-1]] * (W + 1 - len(cells)))
+
+
+def _canonical(labels) -> tuple[Label, ...]:
+    """The Labels of ``(lane words, Label)`` pairs, in canonical order."""
+    return tuple(sorted((lab for _, lab in labels), key=canonical_key))
 
 
 def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
@@ -244,7 +265,7 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
       ascending id: rank r is bit 63 - r % 64 of word ks + 1 + r // 64.
 
     ``solve`` encodes each item's record with this table and
-    ``_cell_labels`` decodes each reported label with it.
+    ``_labels`` decodes each reported label with it.
     """
     lane = n.bit_length() + 1
     per = 64 // lane
@@ -254,7 +275,7 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     return ks, ks + 1 + -(-n // 64), H, (1 << lane) - 1, where
 
 
-def _row_kernel_py(row, lo, ks, H, item):
+def _row_kernel_py(L, item, ks, H, t, W):
     """Pure-Python twin of the C row kernel (``_rowkernel.c``).
 
     Same arguments and results as the C kernel's wrapper: ``(next_row,
@@ -263,43 +284,38 @@ def _row_kernel_py(row, lo, ks, H, item):
     bits of every word in ``HH``: no borrow crosses a lane, so the test
     holds across words as it does within one, and extending adds ``INC``.
     """
-    L, off = row
     R, wt = len(item), item[ks]
     INC = sum(v << 64 * q for q, v in enumerate(item[:ks]))
     HH = sum(H << 64 * q for q in range(ks))
-    recs = [L[i : i + R].tolist() for i in range(0, len(L), R)]
     sums = L[0::R].tolist()
     for q in range(1, ks):
         sums = [v | w << 64 * q for v, w in zip(sums, L[q::R])]
-    off = off.tolist()
-    comparisons = max_cell = 0
-    L_out, offs = array("Q"), array("q")
-    for x in range(lo, len(off) - 1):
-        offs.append(len(L_out) // R)
-        A = zip(recs[off[x] : off[x + 1]], sums[off[x] : off[x + 1]])
-        B = range(off[x - wt], off[x - wt + 1]) if x >= wt else ()  # else the cell carries over
-        comparisons += (off[x + 1] - off[x]) * len(B)
-        ext = [list(map(add, recs[i], item)) for i in B]
-        ext_sums = [sums[i] + INC for i in B]
-        for a, sa in A:
-            for e, sb in zip(ext, ext_sums):  # an a that one e covers covers no other
-                if sa == sb:  # equal vectors: the lighter, then the larger witness words
-                    if a[ks] < e[ks] or (a[ks] == e[ks] and a[ks + 1 :] > e[ks + 1 :]):
-                        e[ks] = 0
-                    else:
-                        break
-                elif ((sb | HH) - sa) & HH == HH:
+    A = [(s, L[i : i + R].tolist()) for s, i in zip(sums, range(0, len(L), R))]
+    B = [(s + INC, list(map(add, a, item))) for s, a in A if a[ks] + wt <= W]
+    kept, F, comparisons, max_cell, last = [], [], 0, 0, 0
+    for s, c in sorted(A + B, key=lambda cand: max(cand[1][ks], t)):  # stable: A first on a tie
+        w = max(c[ks], t)
+        if w != last:
+            max_cell, last = max(max_cell, len(F)), w
+        rest = []
+        for f in F:
+            comparisons += 1
+            sf, r = f
+            if sf == s:  # equal vectors: the lighter, then the larger witness words
+                if r[ks] < c[ks] or (r[ks] == c[ks] and r[ks + 1 :] > c[ks + 1 :]):
                     break
-                elif ((sa | HH) - sb) & HH == HH:
-                    e[ks] = 0  # marked dominated: no extension weighs 0
-            else:
-                L_out.extend(a)
-        for e in ext:
-            if e[ks]:
-                L_out.extend(e)
-        max_cell = max(max_cell, len(L_out) // R - offs[-1])
-    offs.append(len(L_out) // R)
-    return (L_out, offs), comparisons, max_cell
+            elif ((sf | HH) - s) & HH == HH:
+                break  # F is an antichain: a c that one f covers covers none of it
+            elif ((s | HH) - sf) & HH != HH:
+                rest.append(f)
+                continue
+            if max(r[ks], t) == w:
+                r[ks] = W + 1  # dead: covered at its own clamped weight, and no label weighs W + 1
+        else:
+            F = rest + [(s, c)]
+            kept.append(c)
+    L_out = array("Q", [v for c in kept if c[ks] <= W for v in c])  # the dead leave
+    return L_out, comparisons, max(max_cell, len(F))
 
 
 # --------------------------------------------------------------------------
@@ -357,30 +373,27 @@ def _load_row_kernel():
     # RuntimeError: Path.home() finds no home; ValueError: a $CC shlex cannot split
     except (OSError, RuntimeError, ValueError) as exc:
         return None, f"no C row kernel: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64] * 4 + [ctypes.c_uint64]
-    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 3 + [ctypes.c_uint64] * 3
+    fn.restype = None
 
-    def kernel(row, lo, ks, H, item):
-        # The C side reads and writes through bare pointers, unchecked: off[-1]
-        # records of len(item) words in, up to twice that many out.
-        L, off = row
+    def kernel(L, item, ks, H, t, W):
+        # The C side reads and writes through bare pointers, unchecked: len(L) // R
+        # records of R = len(item) words in, up to twice that many out.
         if not (
-            all(isinstance(b, array) for b in (L, off, item))
-            and L.typecode + off.typecode + item.typecode == "QqQ"
-            and 0 <= ks < len(item) - 1  # the weight, then at least one witness word
-            and 1 <= item[ks] < 1 << 63  # weight 0 marks the dominated; C reads it as int64
-            and 0 <= lo < len(off) - 1  # the next row keeps at least column W
-            and off[0] == 0
-            and len(L) == off[-1] * (R := len(item))
+            all(isinstance(b, array) for b in (L, item))
+            and L.typecode + item.typecode == "QQ"
+            and 0 <= ks < (R := len(item)) - 1  # the weight, then at least one witness word
+            and len(L) % R == 0
+            and 1 <= item[ks] < 1 << 63  # added to a weight <= W, it carries out of no word
+            and 0 <= t <= W < 1 << 63  # W + 1 marks the dead
         ):
             raise ValueError("row kernel buffers do not fit the row")
-        L_o, off_o = _zeros("Q", 2 * len(L)), _zeros("q", len(off) - lo)
-        out = array("q", [0, 0, 0])  # pos, comparisons, max_cell
-        addr = [b.buffer_info()[0] for b in (L, off, item, L_o, off_o, out)]
-        if fn(*addr, len(off) - 1, lo, R, ks, H) != 0:
-            raise ValueError("row kernel buffers do not fit the row")  # off decreases
-        pos, comparisons, max_cell = out
-        del L_o[pos * R :]
-        return (L_o, off_o), comparisons, max_cell
+        m = len(L) // R
+        L_o, F = _zeros("Q", 2 * len(L)), _zeros("q", 2 * m)
+        out = array("q", [0, 0, 0])  # records kept, comparisons, max_cell
+        fn(*(b.buffer_info()[0] for b in (L, item, L_o, F, out)), m, R, ks, H, t, W)
+        kept, comparisons, max_cell = out
+        del L_o[kept * R :]
+        return L_o, comparisons, max_cell
 
     return kernel, f"compiled C row kernel {lib}"

@@ -149,17 +149,19 @@ class SolveStats:
     two implementations of the DP row kernel, ``"oracle"`` for
     brute-force enumeration, which counts no comparisons. Given the same
     input and backend, only wall_time varies between runs; both kernels
-    give the same counters. ``comparisons`` counts the A x B record pairs
-    each column's merge takes up: every label of cell (i-1, x) against
-    every extension of cell (i-1, x - w_i). That bounds the dominance
-    tests run from above, since a label's scan ends at the first
-    extension that covers it. Without ``--matrix`` the sweep merges only
-    the cells that can reach cell (n, W), heaviest item first (see
-    ``qknap.dp``): ``comparisons`` and ``max_cell`` count those, while
-    ``cells`` stays n * (W + 1), the size of the whole table with W
-    clamped to the total weight. Each field, in this order, is printed
-    after the label count as one ``# name=value`` stats line and one
-    ``--json`` stats key (see ``qknap.instance_io``).
+    give the same counters. Each row is one list of labels, and
+    ``comparisons`` counts the candidate x frontier pairs its merge
+    takes up: each label of row i-1 and each extension of one by item i,
+    in order of weight, against the kept labels that no kept label
+    covers, until one of them covers it. ``max_cell`` is the size of
+    the largest cell. Without ``--matrix`` the sweep goes heaviest item
+    first and counts a label lighter than W less the weight still to
+    come as weighing that much (see ``qknap.dp``): ``comparisons`` and
+    ``max_cell`` count the merges of those rows and the cells they
+    hold, while ``cells`` stays n * (W + 1), the size of the whole
+    table with W clamped to the total weight. Each field, in this
+    order, is printed after the label count as one ``# name=value``
+    stats line and one ``--json`` stats key (see ``qknap.instance_io``).
     """
 
     __slots__ = ("cells", "max_cell", "comparisons", "wall_time", "backend")

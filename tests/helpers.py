@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
+import qknap.dp
 from qknap import Instance, Item, Valuation
+
+
+def compiler_found() -> bool:
+    """Whether ``$CC`` (else ``cc``) names a program; a ``$CC`` shlex cannot split names none."""
+    try:
+        return shutil.which(qknap.dp._compiler()[0]) is not None
+    except ValueError:
+        return False
+
+
+needs_cc = pytest.mark.skipif(
+    not compiler_found(), reason="no C compiler $CC (else cc) to build the row kernel"
+)
 
 
 def run_cli(*args: object) -> subprocess.CompletedProcess:

@@ -1,6 +1,9 @@
 import io
 import json
 import re
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qknap.dp
-from helpers import drop_wall_time, run_cli
+from helpers import drop_wall_time, needs_cc, run_cli
 from qknap.cli import _build_parser, _served, main
 
 
@@ -122,6 +125,40 @@ def test_a_cc_shlex_cannot_split_falls_back_to_the_python_kernel(tmp_path, monke
     assert "# backend=python" in proc.stdout.splitlines()
     frontier = lambda text: [line for line in text.splitlines() if not line.startswith("#")]
     assert frontier(proc.stdout) == frontier(want)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "cc, backend",
+    [
+        pytest.param(None, "c-kernel", marks=needs_cc, id="c-kernel"),
+        pytest.param("/nonexistent/cc", "python", id="python"),
+    ],
+)
+def test_a_solve_needs_no_memory_in_proportion_to_the_capacity(tmp_path, monkeypatch, cc, backend):
+    # Three items of weight 10**9 fill W = 3 * 10**9. A row of one record per
+    # budget would take tens of GB; a row of labels holds at most eight. The
+    # child may map 1 GiB, the kernel's build in a fresh cache included.
+    path = tmp_path / "huge.qknap"
+    items = "".join(f"{i} 1000000000 1\n" for i in (1, 2, 3))
+    path.write_text(f"qknap 1\nlevels 1\ncapacity 3000000000\nitems 3\n{items}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if cc is not None:
+        monkeypatch.setenv("CC", cc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qknap", "solve", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "vector=(3) weight=3000000000 items=[1,2,3]"
+    assert f"# backend={backend}" in lines
 
 
 def test_greedy_modes(data_dir):

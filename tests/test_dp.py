@@ -1,7 +1,6 @@
 import os
 import pwd
 import random
-import shutil
 import subprocess
 import sys
 from array import array
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qknap.dp
-from helpers import instances
+from helpers import compiler_found, instances, needs_cc
 from qknap import (
     GeneratorParams,
     Instance,
@@ -34,18 +33,10 @@ from qknap import (
 )
 
 
-def _compiler_found() -> bool:
-    """Whether ``$CC`` (else ``cc``) names a program; a ``$CC`` shlex cannot split names none."""
-    try:
-        return shutil.which(qknap.dp._compiler()[0]) is not None
-    except ValueError:
-        return False
-
-
 # The backend a solve forced onto the C kernel (_KERNEL_MIN_CELLS = 0) runs: with
 # a compiler on hand it must be C, or the oracle checks below would compare the
 # Python twin with itself.
-C_BACKEND = "c-kernel" if _compiler_found() else "python"
+C_BACKEND = "c-kernel" if compiler_found() else "python"
 
 # Expected DP table for the four-item staircase instance: cell vectors for
 # i=0..4 (rows) by x=0..6 (columns), zero label stripped, canonical order.
@@ -291,11 +282,6 @@ def test_tie_break_matches_global_oracle_rule(seed):
     assert solve(inst).labels == enumerate_frontier(inst).labels
 
 
-needs_cc = pytest.mark.skipif(
-    not _compiler_found(), reason="no C compiler $CC (else cc) to build the row kernel"
-)
-
-
 def _check_rows(kernel, monkeypatch):
     """Run every row a solve hands the twin through the C kernel too, and record it.
 
@@ -358,17 +344,23 @@ def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
     assert solve(inst).labels == want
     ids = sorted(item.id for item in inst.items)
     assert len(rows) == len(order)
-    for i, ((_, ks, _, rec), (L, off)) in enumerate(rows, start=1):
+    for i, ((rec, ks, _, t, W_arg), L) in enumerate(rows, start=1):
         # the item record's witness word holds the item's rank among the ids
         (q, word), = [(q, w) for q, w in enumerate(rec[ks + 1 :]) if w]
         assert (ids[64 * q + 63 - (word.bit_length() - 1)], rec[ks]) == (
             order[i - 1].id,
             order[i - 1].weight,
         )
-        # row i holds columns W - (weight of the items still to come) .. W, re-based
-        first = max(0, W - sum(item.weight for item in order[i:]))
-        assert len(off) - 1 == W + 1 - first, f"item {i}"
-        assert off[0] == 0 and len(L) == off[-1] * len(rec)
+        # row i clamps at W - (weight of the items still to come), is sorted by
+        # clamped weight and holds no label heavier than W
+        assert (t, W_arg) == (max(0, W - sum(item.weight for item in order[i:])), W), f"item {i}"
+        clamped = [max(weight, t) for weight in L[ks :: len(rec)]]
+        assert clamped == sorted(clamped) and clamped[-1] <= W, f"item {i}"
+    # the last row, clamped at W, holds the frontier, plus the zero label when it is empty
+    (rec, *_), L = rows[-1]
+    lanes = qknap.dp._lanes(inst.k, len(inst.items))
+    assert qknap.dp._canonical(qknap.dp._labels(L, lanes, ids)) == want
+    assert len(L) // len(rec) == max(1, len(want))
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
@@ -412,60 +404,46 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 def _kernel_args():
     """Arguments that fit: row 0 of a solve with k=2, n=3, W=3, and item 1.
 
-    Lanes of 3 bits, 21 to a word: 4 records of one lane word, the weight
-    and one witness word. The item (weight 1, level 1, rank 0) adds 1 to
-    lane 0, its weight and bit 63 of the witness word.
+    Lanes of 3 bits, 21 to a word: one zero record of one lane word, the
+    weight and one witness word. The item (weight 1, level 1, rank 0)
+    adds 1 to lane 0, its weight and bit 63 of the witness word.
     """
     return dict(
-        L=array("Q", [0]) * 12,
-        off=array("q", range(5)),
+        L=array("Q", [0]) * 3,
+        item=array("Q", [1, 1, 1 << 63]),
         ks=1,
         H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
-        item=array("Q", [1, 1, 1 << 63]),
-        lo=0,
+        t=0,
+        W=3,
     )
-
-
-def _run_kernel(kernel, L, off, **args):
-    return kernel((L, off), **args)
 
 
 @needs_cc
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(L=array("Q", [0]) * 11),
-        dict(L=array("q", [0]) * 12),
-        dict(off=array("q", [0, 1, 2, 3, 3])),
-        dict(item=array("Q", [1, 2**64 - 1, 1 << 63])),  # C reads it as int64 -1
+        dict(L=array("Q", [0]) * 2),
+        dict(L=array("q", [0]) * 3),
+        dict(item=array("Q", [1, 2**64 - 1, 1 << 63])),  # added to a weight, it carries out
         dict(ks=3),
         dict(ks=2),  # C compares witness words past the weight on a tie
         dict(item=array("q", [1, 1, -(1 << 63)])),
         dict(item=array("Q", [1, 1])),
-        # these pass every check of the wrapper; C must refuse them before it
-        # reads or writes outside the row
-        dict(L=array("Q", [0]) * 9, off=array("q", [0, 3, 1, 3])),
-        dict(L=array("Q", [0]) * 9, off=array("q", [0, 5, 3])),
-        dict(lo=4),  # the next row would hold no column
-        dict(lo=-1),
-        # column 2 feeds column 3's B records from record -6 on, unless C checks
-        # the columns below the first one too
-        dict(L=array("Q", [0]) * 9, off=array("q", [0, 0, -6, 0, 3]), lo=3),
+        dict(t=4),
+        dict(t=-1),
+        dict(W=2**63, t=0),  # W + 1 marks the dead
     ],
     ids=[
         "short-L",
         "signed-L",
-        "off-ends-short",
         "weight-beyond-int64",
         "ks-beyond-the-item",
         "item-without-witness-words",
         "signed-item",
         "item-one-word-short",
-        "non-monotonic-off",
-        "off-beyond-the-row",
-        "first-column-beyond-the-row",
-        "first-column-below-zero",
-        "off-decreases-below-the-first-column",
+        "clamp-beyond-W",
+        "clamp-below-zero",
+        "W-beyond-int64",
     ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
@@ -473,20 +451,16 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # refused before it touches them
     kernel, reason = qknap.dp._load_row_kernel()
     assert kernel is not None, reason
-    (L, off), comparisons, max_cell = _run_kernel(kernel, **_kernel_args())
-    # the item dominates the empty subset in every column x >= 1: suffix sums
-    # (1, 0) in lanes 0 and 1, weight 1, rank 0 in bit 63
-    assert list(L) == [0, 0, 0] + [1, 1, 1 << 63] * 3
-    assert list(off) == [0, 1, 2, 3, 4]
-    assert (comparisons, max_cell) == (3, 1)
-    (L_py, off_py), *counts = _run_kernel(qknap.dp._row_kernel_py, **_kernel_args())
-    assert (L_py, off_py, *counts) == (L, off, comparisons, max_cell)
-    # from column 2 on: the last two columns, re-based, and their merges only
     for each in (kernel, qknap.dp._row_kernel_py):
-        (L, off), *counts = _run_kernel(each, **{**_kernel_args(), "lo": 2})
-        assert (list(L), list(off), *counts) == ([1, 1, 1 << 63] * 2, [0, 1, 2], 2, 1)
+        # the item covers the empty subset: suffix sums (1, 0) in lanes 0 and 1,
+        # weight 1, rank 0 in bit 63. Unclamped, the zero label stays for cell 0.
+        L, *counts = each(**_kernel_args())
+        assert (list(L), *counts) == ([0, 0, 0, 1, 1, 1 << 63], 1, 1)
+        # clamped at 2, both weigh 2, so the zero label is covered where it stands
+        L, *counts = each(**{**_kernel_args(), "t": 2})
+        assert (list(L), *counts) == ([1, 1, 1 << 63], 1, 1)
     with pytest.raises(ValueError, match="do not fit"):
-        _run_kernel(kernel, **{**_kernel_args(), **bad})
+        kernel(**{**_kernel_args(), **bad})
 
 
 def _unknown_uid(uid):
