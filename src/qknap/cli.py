@@ -18,6 +18,12 @@ loaded only when a request needs it: ``main`` first tries ``_served``,
 which takes the plain requests ``solve PATH [--matrix] [--json]`` and
 ``greedy PATH r|w`` itself, and hands every other argv, help and usage
 errors included, to ``_build_parser``, which remains the one grammar.
+
+``main`` returns the exit code and leaves the process as it found it.
+The program entry is ``qknap.__main__.run``, which ``python -m qknap``,
+the ``qknap`` console script and ``python -m qknap.cli`` all go
+through: it exits with ``main()``'s code and freezes the garbage
+collector's heap on the way out.
 """
 
 from __future__ import annotations
@@ -284,4 +290,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from qknap.__main__ import run
+
+    run()

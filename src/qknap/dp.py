@@ -117,7 +117,6 @@ import time
 from array import array
 from itertools import accumulate, groupby
 from operator import add, attrgetter, sub
-from pathlib import Path
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 
@@ -327,6 +326,14 @@ def _compiler() -> list[str]:
     return shlex.split(os.environ.get("CC", "")) or ["cc"]
 
 
+def _home() -> str:
+    """The user's home directory; RuntimeError when there is none to be found."""
+    home = os.path.expanduser("~")
+    if home == "~":  # no $HOME, and pwd does not know the uid
+        raise RuntimeError("Could not determine home directory.")
+    return home
+
+
 @functools.cache
 def _load_row_kernel():
     """``(kernel, reason)``: the C row kernel, compiled on first use.
@@ -344,33 +351,36 @@ def _load_row_kernel():
     import ctypes
     import importlib.util
 
-    source = Path(__file__).with_name("_rowkernel.c")
+    source = os.path.join(os.path.dirname(__file__), "_rowkernel.c")
     try:
         cc = _compiler()
         # A build for another compiler, such as a sanitizer's, must not be loaded.
         key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode()
-        key += b"\0" + source.read_bytes()
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "qknap"
-        lib = cache / f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
-        if not lib.exists():
+        with open(source, "rb") as f:
+            key += b"\0" + f.read()
+        cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(_home(), ".cache")
+        cache = os.path.join(cache, "qknap")
+        name = f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
+        lib = os.path.join(cache, name)
+        if not os.path.exists(lib):
             import shutil
 
             if shutil.which(cc[0]) is None:
-                return None, f"no C compiler {shlex.join(cc)} to build {lib.name}"
+                return None, f"no C compiler {shlex.join(cc)} to build {name}"
             import subprocess
             import tempfile
 
-            cache.mkdir(parents=True, exist_ok=True)
+            os.makedirs(cache, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                built = os.path.join(tmp, lib.name)
-                argv = [*cc, *_CFLAGS, "-o", built, str(source)]
+                built = os.path.join(tmp, name)
+                argv = [*cc, *_CFLAGS, "-o", built, source]
                 run = subprocess.run(argv, capture_output=True, text=True)
                 if run.returncode != 0:
                     err = run.stderr.strip()[-400:]
                     return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
                 os.replace(built, lib)  # atomic on one filesystem: none loads a half-written file
-        fn = ctypes.CDLL(str(lib)).qknap_row_kernel
-    # RuntimeError: Path.home() finds no home; ValueError: a $CC shlex cannot split
+        fn = ctypes.CDLL(lib).qknap_row_kernel
+    # RuntimeError: _home() finds no home; ValueError: a $CC shlex cannot split
     except (OSError, RuntimeError, ValueError) as exc:
         return None, f"no C row kernel: {exc}"
     fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 3 + [ctypes.c_uint64] * 3

@@ -205,19 +205,19 @@ def validate_instance(raw: Instance) -> Instance:
     if raw.capacity >= _INT64_LIMIT:
         raise InvalidInstanceError(f"capacity must be < 2**63, got {raw.capacity}")
     seen: set[int] = set()
-    for item in raw.items:
-        if item.id < 1:
-            raise InvalidInstanceError(f"item {item.id}: id must be >= 1")
-        if item.id in seen:
-            raise InvalidInstanceError(f"item {item.id}: duplicate id")
-        seen.add(item.id)
-        if item.weight < 1:
-            raise InvalidInstanceError(f"item {item.id}: weight must be >= 1")
-        if item.weight >= _INT64_LIMIT:
-            raise InvalidInstanceError(f"item {item.id}: weight must be < 2**63, got {item.weight}")
-        if not 1 <= item.level <= raw.k:
+    for ident, weight, level in raw.items:  # unpacked: a namedtuple field read is a call
+        if ident < 1:
+            raise InvalidInstanceError(f"item {ident}: id must be >= 1")
+        if ident in seen:
+            raise InvalidInstanceError(f"item {ident}: duplicate id")
+        seen.add(ident)
+        if weight < 1:
+            raise InvalidInstanceError(f"item {ident}: weight must be >= 1")
+        if weight >= _INT64_LIMIT:
+            raise InvalidInstanceError(f"item {ident}: weight must be < 2**63, got {weight}")
+        if not 1 <= level <= raw.k:
             raise InvalidInstanceError(
-                f"item {item.id}: level out of range (level {item.level}, k={raw.k})"
+                f"item {ident}: level out of range (level {level}, k={raw.k})"
             )
     return raw
 

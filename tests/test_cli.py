@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import os
 import re
 import resource
 import subprocess
@@ -421,3 +423,88 @@ def test_served_requests_parse_as_the_argparse_grammar_does(argv):
         assert served is None
     else:
         assert served is None or vars(served) == parsed
+
+
+def test_main_in_process_never_freezes_the_heap(data_dir):
+    # tests and tracers call main() many times in one process, which must
+    # keep collecting its garbage
+    frozen = gc.get_freeze_count()
+    assert main(["solve", str(data_dir / "table1.qknap")]) == 0
+    assert main(["solve", str(data_dir / "no-such-file.qknap")]) == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_entry_freezes_the_heap_and_still_runs_atexit_handlers(data_dir):
+    script = (
+        "import atexit, gc, sys; print('before', gc.get_freeze_count()); "
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0)); "
+        "from qknap.__main__ import run; run()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", str(data_dir / "table1.qknap")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before 0"
+    assert lines[1] == "vector=(0,1,0,1) weight=6 items=[2,4]"
+    assert lines[-1] == "at exit True"
+
+
+# What `python -m qknap` did before it had an entry of its own
+_PLAIN_EXIT = "import sys; from qknap.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "table1.qknap"], 0),
+        (["solve", "no-such-file.qknap"], 2),
+        (["solv", "table1.qknap"], 2),  # a usage error, from argparse
+        (["--version"], 0),
+    ],
+)
+def test_the_entry_exits_as_main_does(data_dir, argv, code):
+    argv = [str(data_dir / a) if a.endswith(".qknap") else a for a in argv]
+    entry, plain = (
+        subprocess.run([sys.executable, *how, *argv], capture_output=True, text=True)
+        for how in (["-m", "qknap"], ["-c", _PLAIN_EXIT])
+    )
+    assert entry.returncode == code
+    assert (entry.returncode, drop_wall_time(entry.stdout), entry.stderr) == (
+        plain.returncode,
+        drop_wall_time(plain.stdout),
+        plain.stderr,
+    )
+
+
+def test_the_entry_reports_a_failed_flush_of_buffered_stdout(data_dir):
+    # stdout is flushed at shutdown, after the freeze; a closed pipe still
+    # gives the interpreter's exit 120 and its BrokenPipeError
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qknap", "solve", str(data_dir / "table1.qknap")],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+
+
+def test_a_profiler_still_reports_after_the_entry_exits(data_dir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "qknap", "solve", str(data_dir / "table1.qknap")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "vector=(0,1,0,1) weight=6 items=[2,4]" in proc.stdout
+    assert "function calls" in proc.stdout
