@@ -57,22 +57,12 @@ because each item is swept once. Extensions heavier than W are dropped.
 One row kernel merges a row, in two implementations that give the same
 labels and counters: C (``_rowkernel.c``, shipped beside this module)
 and its pure-Python twin ``_row_kernel_py``, which follows it step for
-step. The first solve of at least ``_KERNEL_MIN_CELLS`` cells compiles
-the C kernel with ``$CC`` (else ``cc``) into ``$XDG_CACHE_HOME/qknap``
-(else ``~/.cache/qknap``), under a name keyed by the source, the
-platform, the compiler command and the flags, and loads it through
-ctypes. The name is ``importlib.util.source_hash`` of that key, which
-is keyed by the interpreter's magic number, so each Python version
-builds its own copy. Later processes load the cached file, which takes
-ctypes and importlib.util (which ``python -m`` has already imported)
-only: the compiler toolchain (shutil, subprocess, tempfile) is
-imported only to build, and a compiler that is not there is found
-missing before anything is written. A build compiles into a temporary
-directory inside the cache and is renamed into place. Smaller solves,
-and every solve when no compiler is found, the compiler fails, or an
-OSError, a missing home directory or a ``$CC`` that ``shlex`` cannot
-split stops the build or the load, take the Python twin.
-``SolveStats.backend`` names the kernel that ran.
+step. A solve of at least ``_KERNEL_MIN_CELLS`` cells imports
+``qknap.ckernel``, which builds the C kernel on first use, caches the
+build and loads it through ctypes; smaller solves, and every solve when
+the C kernel cannot be had, take the twin, and never import
+``qknap.ckernel``, ``ctypes`` or ``shlex``. ``SolveStats.backend``
+names the kernel that ran.
 
 Both kernels take a row, the item's record, ks, the guard mask H of a
 lane word, the next row's t and W, and return the next row, the
@@ -90,29 +80,17 @@ of W + 1, which no label has, and the dead leave the row after the
 sweep. The comparisons count the candidate x F pairs the scans take up,
 an upper bound on the dominance tests run. max_cell is the largest
 size of F when the clamped weight changes or the sweep ends, which is
-the largest cell (i, x), x >= t, of the next row i. The kernels know nothing of the
-zero label: ``solve`` leaves it out of max_cell and of the reported
-labels. Every nonzero label covers it, so F keeps it only while no item
-swept so far fits, and then holds nothing else: the kernels' max_cell
-counts it only when the frontier is empty, and ``solve`` checks that
-once, after the sweep.
-
-The C kernel gets the buffers' addresses as bare pointers. It reads the
-m = len(row) / R records of the row and the item's record, and writes
-at most 2m records into the next row and at most 2m record numbers into
-F, which its ctypes wrapper allocates and then trims the next row to
-what C wrote. C allocates nothing, indexes by no value it reads from a
-record, and cannot fail: the wrapper refuses, with ValueError, any
-buffer or scalar that does not fit before any C code runs.
+the largest cell (i, x), x >= t, of the next row i. The kernels know
+nothing of the zero label: ``solve`` leaves it out of max_cell and of
+the reported labels. Every nonzero label covers it, so F keeps it only
+while no item swept so far fits, and then holds nothing else: the
+kernels' max_cell counts it only when the frontier is empty, and
+``solve`` checks that once, after the sweep.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import shlex
-import sys
 import time
 from array import array
 from itertools import accumulate, groupby
@@ -131,7 +109,6 @@ __all__ = ["label_bound", "solve"]
 # the twin, so they never start the compiler; the 2,440-cell instance and the
 # dense (4,700-5,600 cells) and wide (20,200) workloads run C.
 _KERNEL_MIN_CELLS = 2_000
-_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 def label_bound(k: int, i: int) -> int:
@@ -168,10 +145,8 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         # row i clamps at W - (weight of the items after the i-th), which lift any label below to W
         after = accumulate([item.weight for item in items[:0:-1]], initial=0)
         clamps = [max(0, W - r) for r in after][::-1]
-    stats = SolveStats(cells=n * (W + 1), backend="c-kernel")
-    kernel = _load_row_kernel()[0] if stats.cells >= _KERNEL_MIN_CELLS else None
-    if kernel is None:
-        kernel, stats.backend = _row_kernel_py, "python"
+    stats = SolveStats(cells=n * (W + 1))
+    kernel, stats.backend = _row_kernel(stats.cells)
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     ks, R, H, _, where = lanes = _lanes(k, n)
@@ -195,6 +170,22 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         stats.max_cell = 0
     stats.wall_time = time.perf_counter() - t0
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
+
+
+def _row_kernel(cells: int):
+    """``(kernel, backend)`` for a solve of ``cells`` cells.
+
+    The C kernel at or above ``_KERNEL_MIN_CELLS`` when ``qknap.ckernel``
+    loads it, else the Python twin. Below the threshold nothing imports
+    ``qknap.ckernel``, nor with it ``ctypes`` and ``shlex``.
+    """
+    if cells >= _KERNEL_MIN_CELLS:
+        from .ckernel import _load_row_kernel
+
+        kernel = _load_row_kernel()[0]
+        if kernel is not None:
+            return kernel, "c-kernel"
+    return _row_kernel_py, "python"
 
 
 def _zeros(typecode: str, size: int) -> array:
@@ -315,95 +306,3 @@ def _row_kernel_py(L, item, ks, H, t, W):
             kept.append(c)
     L_out = array("Q", [v for c in kept if c[ks] <= W for v in c])  # the dead leave
     return L_out, comparisons, max(max_cell, len(F))
-
-
-# --------------------------------------------------------------------------
-# Loading the C kernel.
-
-
-def _compiler() -> list[str]:
-    """The command that builds the row kernel: ``$CC``, else ``cc``."""
-    return shlex.split(os.environ.get("CC", "")) or ["cc"]
-
-
-def _home() -> str:
-    """The user's home directory; RuntimeError when there is none to be found."""
-    home = os.path.expanduser("~")
-    if home == "~":  # no $HOME, and pwd does not know the uid
-        raise RuntimeError("Could not determine home directory.")
-    return home
-
-
-@functools.cache
-def _load_row_kernel():
-    """``(kernel, reason)``: the C row kernel, compiled on first use.
-
-    ``kernel`` is None when it cannot be had, and every solve then runs
-    ``_row_kernel_py``; ``reason`` names the shared object that loaded,
-    or why none did: no compiler found, the compiler failed (with the
-    tail of its stderr), or ``no C row kernel: ...`` with the OSError
-    met on the way, the RuntimeError of a home directory that cannot be
-    found, or the ValueError of a ``$CC`` that ``shlex`` cannot split.
-    ``_load_row_kernel.cache_clear()`` makes the next call try again.
-    """
-    # Imported here so that solves below the kernel threshold never pay for them;
-    # the build's modules are imported only when there is something to build.
-    import ctypes
-    import importlib.util
-
-    source = os.path.join(os.path.dirname(__file__), "_rowkernel.c")
-    try:
-        cc = _compiler()
-        # A build for another compiler, such as a sanitizer's, must not be loaded.
-        key = "\0".join((sys.platform, os.uname().machine, *cc, *_CFLAGS)).encode()
-        with open(source, "rb") as f:
-            key += b"\0" + f.read()
-        cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(_home(), ".cache")
-        cache = os.path.join(cache, "qknap")
-        name = f"rowkernel-{importlib.util.source_hash(key).hex()}.so"
-        lib = os.path.join(cache, name)
-        if not os.path.exists(lib):
-            import shutil
-
-            if shutil.which(cc[0]) is None:
-                return None, f"no C compiler {shlex.join(cc)} to build {name}"
-            import subprocess
-            import tempfile
-
-            os.makedirs(cache, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                built = os.path.join(tmp, name)
-                argv = [*cc, *_CFLAGS, "-o", built, source]
-                run = subprocess.run(argv, capture_output=True, text=True)
-                if run.returncode != 0:
-                    err = run.stderr.strip()[-400:]
-                    return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
-                os.replace(built, lib)  # atomic on one filesystem: none loads a half-written file
-        fn = ctypes.CDLL(lib).qknap_row_kernel
-    # RuntimeError: _home() finds no home; ValueError: a $CC shlex cannot split
-    except (OSError, RuntimeError, ValueError) as exc:
-        return None, f"no C row kernel: {exc}"
-    fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 3 + [ctypes.c_uint64] * 3
-    fn.restype = None
-
-    def kernel(L, item, ks, H, t, W):
-        # The C side reads and writes through bare pointers, unchecked: len(L) // R
-        # records of R = len(item) words in, up to twice that many out.
-        if not (
-            all(isinstance(b, array) for b in (L, item))
-            and L.typecode + item.typecode == "QQ"
-            and 0 <= ks < (R := len(item)) - 1  # the weight, then at least one witness word
-            and len(L) % R == 0
-            and 1 <= item[ks] < 1 << 63  # added to a weight <= W, it carries out of no word
-            and 0 <= t <= W < 1 << 63  # W + 1 marks the dead
-        ):
-            raise ValueError("row kernel buffers do not fit the row")
-        m = len(L) // R
-        L_o, F = _zeros("Q", 2 * len(L)), _zeros("q", 2 * m)
-        out = array("q", [0, 0, 0])  # records kept, comparisons, max_cell
-        fn(*(b.buffer_info()[0] for b in (L, item, L_o, F, out)), m, R, ks, H, t, W)
-        kept, comparisons, max_cell = out
-        del L_o[kept * R :]
-        return L_o, comparisons, max_cell
-
-    return kernel, f"compiled C row kernel {lib}"

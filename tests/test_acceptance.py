@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import qknap.ckernel
 import qknap.dp
 from helpers import drop_wall_time, improve, random_valuation, random_vector, run_cli
 from qknap import (
@@ -158,7 +159,7 @@ def test_criterion_9_scale_smoke(backend, monkeypatch):
     if backend == "c-kernel":
         small = generate_instance(GeneratorParams(n=60, k=3, weight_max=20, seed=2, capacity=400))
         solve(small)  # build or load the C row kernel outside the timed region
-        kernel, reason = qknap.dp._load_row_kernel()
+        kernel, reason = qknap.ckernel._load_row_kernel()
         assert kernel is not None, reason
         repeats = 3
     else:  # the Python twin, which serves every solve where no C kernel can be had

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qknap.ckernel
 import qknap.dp
 from helpers import drop_wall_time, needs_cc, run_cli
-from qknap.cli import _build_parser, _served, main
+from qknap.cli import _served, main
+from qknap.commands import _build_parser
 
 
 def test_solve_table1_text(data_dir):
@@ -354,6 +356,32 @@ def test_bench_ratio_mode():
     assert int(rows[0].split(",")[2]) < int(rows[1].split(",")[2])  # W scales with n
 
 
+@pytest.mark.parametrize("n, loads", [("4,40", True), ("4,5", False)])
+def test_bench_loads_the_c_kernel_before_its_first_row(monkeypatch, capsys, n, loads):
+    # With W=60, 40 items make 2,440 cells, enough for the C kernel, and 5 make
+    # 305. A sweep that runs C loads it before the CSV header, so the first
+    # row's wall_time does not hold the load.
+    calls, printed, load, solve = [], [], qknap.ckernel._load_row_kernel, qknap.dp.solve
+
+    def record_load():  # with the lines printed so far
+        printed.append(capsys.readouterr().out)
+        calls.append(("load", "".join(printed).count("\n")))
+        return load()
+
+    def record_solve(inst, keep_matrix=False):
+        calls.append(("solve", len(inst.items)))
+        return solve(inst, keep_matrix)
+
+    monkeypatch.setattr(qknap.ckernel, "_load_row_kernel", record_load)
+    monkeypatch.setattr(qknap.dp, "solve", record_solve)
+    argv = ["bench", "--n", n, "--k", "3", "--capacity", "60", "--wmax", "9", "--seeds", "1"]
+    assert main(argv) == 0
+    if loads:  # the second load is the 40-item solve's own, from the cache
+        assert calls == [("load", 0), ("solve", 4), ("solve", 40), ("load", 2)]
+    else:
+        assert calls == [("solve", 4), ("solve", 5)]
+
+
 def test_enumerate_json(data_dir):
     proc = run_cli("enumerate", data_dir / "table2.qknap", "--json")
     doc = json.loads(proc.stdout)
@@ -476,6 +504,45 @@ def test_the_entry_exits_as_main_does(data_dir, argv, code):
         plain.returncode,
         drop_wall_time(plain.stdout),
         plain.stderr,
+    )
+
+
+def _drop_times(text: str) -> str:
+    """The text without its wall times: `# wall_time=` lines and bench's last column."""
+    return re.sub(r"\d+\.\d{6}$", "", text, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--version"],
+        ["gen", "--n", "6", "--k", "3", "--capacity", "10", "--wmax", "5", "--seed", "7"],
+        ["check", "table1.qknap", "--a", "1,2,3", "--b", "2,4", "--witness"],
+        ["bench", "--n", "4,40", "--k", "3", "--capacity", "60", "--wmax", "9", "--seeds", "1"],
+        ["enumerate", "table1.qknap"],
+        ["solve", "table1.qknap", "--mat"],  # an abbreviation only argparse takes
+        ["greedy", "table1.qknap", "x"],  # a usage error
+    ],
+    ids=["help", "version", "gen", "check", "bench", "enumerate", "solve-mat", "usage-error"],
+)
+def test_an_unserved_command_runs_in_a_fresh_process_as_in_process(data_dir, monkeypatch, argv):
+    # The grammar and these subcommands live in qknap.commands, which a fresh
+    # `python -m qknap` imports only after cli has found the argv not served.
+    argv = [str(data_dir / a) if a.endswith(".qknap") else a for a in argv]
+    assert _served(argv) is None
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    fresh = subprocess.run([sys.executable, "-m", "qknap", *argv], capture_output=True, text=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help, version and usage errors
+            code = exc.code
+    assert (fresh.returncode, _drop_times(fresh.stdout), fresh.stderr) == (
+        code,
+        _drop_times(out.getvalue()),
+        err.getvalue(),
     )
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qknap.ckernel
 import qknap.dp
 from helpers import compiler_found, instances, needs_cc
 from qknap import (
@@ -303,7 +304,7 @@ def _check_rows(kernel, monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("params", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
 def test_c_and_python_kernels_agree(params, monkeypatch):
-    kernel, reason = qknap.dp._load_row_kernel()
+    kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
     inst = _path_instance(params)
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
@@ -333,7 +334,7 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
 def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
     params, monkeypatch
 ):
-    kernel, reason = qknap.dp._load_row_kernel()
+    kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
     inst = _path_instance(params)
     W = min(inst.capacity, sum(item.weight for item in inst.items))
@@ -389,10 +390,10 @@ def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
 
 @needs_cc
 def test_row_kernel_compiles_without_warnings(tmp_path):
-    source = Path(qknap.dp.__file__).with_name("_rowkernel.c")
+    source = Path(qknap.ckernel.__file__).with_name("_rowkernel.c")
     # the kernel is built by whatever cc a user has: keep it to standard C99
-    argv = [*qknap.dp._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
-    argv += qknap.dp._CFLAGS
+    argv = [*qknap.ckernel._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
+    argv += qknap.ckernel._CFLAGS
     run = subprocess.run(
         [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
         capture_output=True,
@@ -449,7 +450,7 @@ def _kernel_args():
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # the C side reads and writes through bare pointers, so bad buffers must be
     # refused before it touches them
-    kernel, reason = qknap.dp._load_row_kernel()
+    kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
     for each in (kernel, qknap.dp._row_kernel_py):
         # the item covers the empty subset: suffix sums (1, 0) in lanes 0 and 1,
@@ -491,13 +492,13 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
         return "no C row kernel: ", f"{cache}/qknap"
     if case == "source-unreadable":
         monkeypatch.setenv("CC", "false")  # any $CC that splits: the load stops before it
-        monkeypatch.setattr(qknap.dp, "__file__", str(tmp / "src" / "dp.py"))
+        monkeypatch.setattr(qknap.ckernel, "__file__", str(tmp / "src" / "dp.py"))
         return "no C row kernel: ", f"{tmp}/src/_rowkernel.c"
     if case == "cached-build-unloadable":
         # garbage where a build would be: no compiler is needed to load it
         monkeypatch.setenv("CC", f"{tmp}/no-such-cc")
-        lib = cache / "qknap" / qknap.dp._load_row_kernel()[1].split()[-1]
-        qknap.dp._load_row_kernel.cache_clear()
+        lib = cache / "qknap" / qknap.ckernel._load_row_kernel()[1].split()[-1]
+        qknap.ckernel._load_row_kernel.cache_clear()
         lib.parent.mkdir(parents=True)
         lib.write_text("garbage")
         return "no C row kernel: ", str(lib)
@@ -529,11 +530,11 @@ def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatc
     builds = tmp_path / "cache" / "qknap"
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
-    qknap.dp._load_row_kernel.cache_clear()
+    qknap.ckernel._load_row_kernel.cache_clear()
     try:
         reason, cause = _make_the_kernel_unavailable(case, tmp_path, monkeypatch)
         planted = _files(builds)
-        kernel, why = qknap.dp._load_row_kernel()
+        kernel, why = qknap.ckernel._load_row_kernel()
         assert kernel is None
         assert why.startswith(reason) and cause in why, why
         assert _files(builds) == planted  # no temp file left behind
@@ -543,7 +544,7 @@ def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatc
         assert res.labels == enumerate_frontier(inst).labels
     finally:
         # the next call loads the kernel again, in the restored environment
-        qknap.dp._load_row_kernel.cache_clear()
+        qknap.ckernel._load_row_kernel.cache_clear()
 
 
 def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
@@ -552,7 +553,7 @@ def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
     # import modules of their own, out of the child.
     cache = tmp_path / "cache"
     script = (
-        "import sys; import qknap.dp; kernel, reason = qknap.dp._load_row_kernel(); "
+        "import sys; import qknap.ckernel; kernel, reason = qknap.ckernel._load_row_kernel(); "
         'print(kernel is None, "subprocess" in sys.modules, "tempfile" in sys.modules); '
         "print(reason)"
     )
@@ -576,18 +577,18 @@ def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
 def test_kernel_cache_is_keyed_by_the_compiler(tmp_path, monkeypatch):
     # a build by one compiler, such as a sanitizer's, must never load for another
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    qknap.dp._load_row_kernel.cache_clear()
+    qknap.ckernel._load_row_kernel.cache_clear()
     try:
-        kernel, reason = qknap.dp._load_row_kernel()
+        kernel, reason = qknap.ckernel._load_row_kernel()
         assert kernel is not None, reason
-        qknap.dp._load_row_kernel.cache_clear()
+        qknap.ckernel._load_row_kernel.cache_clear()
         monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
-        kernel, reason = qknap.dp._load_row_kernel()
+        kernel, reason = qknap.ckernel._load_row_kernel()
         assert kernel is None
         assert "no-such-cc" in reason
     finally:
         # the next call loads the kernel again, in the restored environment
-        qknap.dp._load_row_kernel.cache_clear()
+        qknap.ckernel._load_row_kernel.cache_clear()
 
 
 def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
@@ -611,40 +612,51 @@ def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
         ]
 
 
+def _imports(*args):
+    """``python -X importtime *args``: the finished process and every module it imported."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    lines = run.stderr.splitlines()
+    timed = [ln.startswith("import time:") for ln in lines]
+    names = {ln.rsplit("|", 1)[1].strip() for ln, t in zip(lines, timed) if t}
+    run.stderr = "\n".join(ln for ln, t in zip(lines, timed) if not t)  # the process's own
+    return run, names
+
+
 @needs_cc
-def test_a_warm_solve_loads_only_what_it_runs(tmp_path):
+def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
     # With the kernel already built, a solve or greedy process needs neither the
-    # compiler toolchain nor the subcommands it does not run, and a plain request
-    # is served without argparse.
+    # compiler toolchain nor the subcommands it does not run, a plain request is
+    # served without argparse or qknap.commands, and a solve on the Python twin
+    # loads no qknap.ckernel. Each runs as `python -m qknap` does.
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     (tmp_path / "big.qknap").write_text(serialize_instance(big))
-    qknap.dp._load_row_kernel.cache_clear()
-    kernel, reason = qknap.dp._load_row_kernel()  # the subprocess inherits this cache
+    qknap.ckernel._load_row_kernel.cache_clear()
+    kernel, reason = qknap.ckernel._load_row_kernel()  # the subprocess inherits this cache
     assert kernel is not None, reason
-    script = (
-        "import sys; bare = set(sys.modules); from qknap.cli import main; code = main(sys.argv[1:]); "
-        'sys.stderr.write(" ".join(set(sys.modules) - bare)); sys.exit(code)'
-    )
-    for command, rest, runs in [
-        ("solve", [], {"qknap.dp", "ctypes"}),
-        ("solve", ["--matrix"], {"qknap.dp", "ctypes"}),
-        ("greedy", ["r"], {"qknap.greedy"}),
+    # what site imports on its own (a .pth file may preload pathlib, as certifi's
+    # does), so that `loaded` counts only what came after it
+    _, bare = _imports("-c", "pass")
+    c_solve = {"qknap.dp", "qknap.ckernel"}
+    for path, backend, rest, runs in [
+        (tmp_path / "big.qknap", "c-kernel", [], c_solve),  # 2,440 cells
+        (tmp_path / "big.qknap", "c-kernel", ["--matrix"], c_solve),
+        (data_dir / "table1.qknap", "python", [], {"qknap.dp"}),  # 28 cells
+        (data_dir / "table1.qknap", "python", ["--matrix"], {"qknap.dp"}),
+        (tmp_path / "big.qknap", None, ["r"], {"qknap.greedy"}),
+        (data_dir / "table1.qknap", None, ["w"], {"qknap.greedy"}),
     ]:
-        run = subprocess.run(
-            [sys.executable, "-c", script, command, str(tmp_path / "big.qknap"), *rest],
-            capture_output=True,
-            text=True,
-        )
+        command = "greedy" if backend is None else "solve"
+        run, names = _imports("-m", "qknap", command, str(path), *rest)
         assert run.returncode == 0, run.stderr
-        if command == "solve":
-            assert "# backend=c-kernel" in run.stdout.splitlines()
-        loaded = set(run.stderr.split())
+        if backend is not None:
+            assert f"# backend={backend}" in run.stdout.splitlines()
+        loaded = names - bare
         assert {"qknap.cli", "qknap.instance_io", "qknap.model"} | runs <= loaded
         unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
-        unused |= {"argparse", "gettext", "locale"}
-        unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-        # Only bites where site does not preload pathlib (a .pth file may, as
-        # certifi's does), since `loaded` counts what came after site.
-        unused |= {"pathlib"}
-        unused |= {"qknap.dp", "qknap.greedy", "qknap.dominance", "qknap.oracle"} - runs
-        assert loaded & unused == set(), (command, rest)
+        unused |= {"qknap.commands", "argparse", "gettext", "locale"}
+        unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
+        unused |= {"qknap.dominance", "qknap.oracle"}
+        unused |= {"qknap.dp", "qknap.ckernel", "qknap.greedy"} - runs
+        if "qknap.ckernel" not in runs:  # nor the kernel's loader and its cache key
+            unused |= {"ctypes", "shlex"}
+        assert loaded & unused == set(), (command, path.name, rest)

@@ -1,3 +1,4 @@
+import pkgutil
 import subprocess
 import sys
 
@@ -24,3 +25,13 @@ def test_import_qknap_loads_no_submodule():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(qknap.__path__)))
+def test_every_module_imports_on_its_own(name):
+    # A fresh interpreter each, so that no other module is loaded first:
+    # qknap.commands, which imports qknap.cli, must import before cli has.
+    run = subprocess.run(
+        [sys.executable, "-c", f"import qknap.{name}"], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
