@@ -1,6 +1,6 @@
 /* One row of the label-set dynamic program (qknap.dp).
  *
- * Compiled on first use by qknap.dp and called through ctypes; the
+ * Compiled on first use by qknap.ckernel and called through ctypes; the
  * pure-Python twin qknap.dp._row_kernel_py follows it step for step.
  * qknap.dp._lanes lays out a record's R words; the qknap.dp docstring
  * documents the row, its clamp t, the guard-bit dominance test used

@@ -30,8 +30,6 @@ through: it exits with ``main()``'s code and freezes the garbage
 collector's heap on the way out.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 

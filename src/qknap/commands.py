@@ -129,7 +129,7 @@ def _int_list(text: str) -> list[int]:
 def _cmd_bench(args) -> int:
     from itertools import product
 
-    from .dp import _row_kernel, label_bound, solve
+    from .dp import label_bound, solve
 
     key = "capacity" if args.capacity is not None else "ratio"
     # the whole sweep's parameters are checked before the CSV header is printed
@@ -140,11 +140,6 @@ def _cmd_bench(args) -> int:
         )
     ]
     insts = [generate_instance(params) for params in sweep]
-    # A sweep that runs the C kernel loads it before the first row, so that no
-    # row's wall_time holds the load. A solve counts n * (W + 1) cells, W at most
-    # the total weight.
-    cells = [len(i.items) * (min(i.capacity, sum(t.weight for t in i.items)) + 1) for i in insts]
-    _row_kernel(max(cells, default=0))
     print("n,k,W,seed,frontier_size,max_cell,label_bound,comparisons,wall_time")
     for params, inst in zip(sweep, insts):
         result = solve(inst)

@@ -88,12 +88,10 @@ kernels' max_cell counts it only when the frontier is empty, and
 ``solve`` checks that once, after the sweep.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from array import array
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import add, attrgetter, sub
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
@@ -102,11 +100,12 @@ __all__ = ["label_bound", "solve"]
 
 # Solves of at least this many cells (n * (W + 1)) run the C kernel. On a
 # 2,440-cell instance (n=40, k=3, wmax=9, W=60) the Python twin takes
-# 1.3-1.9 us per cell, the C kernel 0.08-0.14 us, loading a cached build in a
-# new process 1.0-1.2 ms, and a build, cached for later processes, 0.13-0.18 s
-# (2-vCPU VM, gcc 12.2, Python 3.11). The threshold keeps small solves, such
-# as a 44-cell cold start or the benchmark's 364-658-cell batch instances, on
-# the twin, so they never start the compiler; the 2,440-cell instance and the
+# 0.74-0.77 us per cell and the C kernel 0.08 us (in-process, best of 20);
+# loading a cached build in a new process, ctypes and shlex included, takes
+# 2.0-2.2 ms, and a build, cached for later processes, 0.14-0.17 s (2-vCPU
+# VM, gcc 12.2, Python 3.11). The threshold keeps small solves, such as a
+# 44-cell cold start or the benchmark's 364-658-cell batch instances, on the
+# twin, so they never start the compiler; the 2,440-cell instance and the
 # dense (4,700-5,600 cells) and wide (20,200) workloads run C.
 _KERNEL_MIN_CELLS = 2_000
 
@@ -132,43 +131,46 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     record per cell: each row holds its labels, clamped below the weight
     from which the items still to come can reach W, heaviest item first,
     and ``comparisons`` and ``max_cell`` count the merges of those rows.
+    ``stats.wall_time`` starts once the row kernel is loaded, or built,
+    so it times the sort, the sweep and the decoding of the labels only.
     """
-    t0 = time.perf_counter()
     n, k, W = len(inst.items), inst.k, inst.capacity
-    if keep_matrix:  # cells of input prefixes, unclamped: all items in input order
-        items, clamps = inst.items, [0] * n
-    else:
+    if not keep_matrix:
         W = min(W, sum(item.weight for item in inst.items))
+    cells = n * (W + 1)
+    kernel, backend = _row_kernel(cells)  # loaded, or built, before the clock starts
+    t0 = time.perf_counter()
+    if keep_matrix:  # cells of input prefixes, unclamped: all items in input order
+        items = inst.items
+    else:  # heaviest first; the sort is stable, so equal weights keep input order
         fit = [item for item in inst.items if item.weight <= W]
-        # heaviest first; the sort is stable, so equal weights keep input order
         items = sorted(fit, key=attrgetter("weight"), reverse=True)
-        # row i clamps at W - (weight of the items after the i-th), which lift any label below to W
-        after = accumulate([item.weight for item in items[:0:-1]], initial=0)
-        clamps = [max(0, W - r) for r in after][::-1]
-    stats = SolveStats(cells=n * (W + 1))
-    kernel, stats.backend = _row_kernel(stats.cells)
+    rem = sum(item.weight for item in items)
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     ks, R, H, _, where = lanes = _lanes(k, n)
-    row = _zeros("Q", R)  # row 0: the all-zero label (empty subset)
-    rows = [row]
-    for item, t in zip(items, clamps):
-        rec = _zeros("Q", R)  # what extending a label by the item adds
+    row = array("Q", [0]) * R  # row 0: the all-zero label (empty subset)
+    rows, comparisons, max_cell = [row], 0, 0
+    for item in items:
+        rem -= item.weight
+        # rem is now the weight of the items after this one: they lift any label below W - rem to W
+        t = 0 if keep_matrix else max(0, W - rem)
+        rec = array("Q", [0]) * R  # what extending a label by the item adds
         for q, shift in where[: item.level]:
             rec[q] += 1 << shift
         r = rank[item.id]
         rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
         row, comps, mc = kernel(row, rec, ks, H, t, W)
-        stats.comparisons += comps
-        stats.max_cell = max(stats.max_cell, mc)
+        comparisons += comps
+        max_cell = max(max_cell, mc)
         if keep_matrix:
             rows.append(row)
     matrix = tuple(_cells(r, W, lanes, ids) for r in rows) if keep_matrix else None
     # without a matrix the last row, clamped at W, is cell (n, W)
     labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(row, lanes, ids))
     if not labels:  # the frontiers held only the zero label, which does not count
-        stats.max_cell = 0
-    stats.wall_time = time.perf_counter() - t0
+        max_cell = 0
+    stats = SolveStats(cells, max_cell, comparisons, time.perf_counter() - t0, backend)
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
 
@@ -186,10 +188,6 @@ def _row_kernel(cells: int):
         if kernel is not None:
             return kernel, "c-kernel"
     return _row_kernel_py, "python"
-
-
-def _zeros(typecode: str, size: int) -> array:
-    return array(typecode, [0]) * size
 
 
 def _labels(row, lanes, ids: list[int]) -> list[tuple[int, Label]]:

@@ -7,8 +7,6 @@ one of maximum cardinality, and it is guaranteed efficient only when it
 fills the capacity exactly.
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 

@@ -30,16 +30,14 @@ Random instances come from a splitmix64 stream so that the same
 parameters produce byte-identical files everywhere.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterable
 from math import ceil
 
-from .model import FrontierResult, Instance, Item, SolveStats
+from .model import FrontierResult, Instance, Item
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # named in annotations only, which are never evaluated
+if TYPE_CHECKING:  # named in quoted annotations only, which are never evaluated
     from fractions import Fraction
-    from typing import Iterable
 
     from .greedy import GreedyResult
 
@@ -121,7 +119,7 @@ class GeneratorParams:
         weight_max: int,
         seed: int,
         capacity: int | None = None,
-        ratio: Fraction | None = None,
+        ratio: "Fraction | None" = None,
     ) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -233,7 +231,7 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_vector(g: Iterable[int | Fraction]) -> str:
+def format_vector(g: "Iterable[int | Fraction]") -> str:
     return "(" + ",".join(str(c) for c in g) + ")"
 
 
@@ -243,8 +241,7 @@ def _format_items(ids: Iterable[int]) -> str:
 
 def _stats(result: FrontierResult) -> dict:
     """The label count, then every ``SolveStats`` field in field order."""
-    stats = result.stats
-    return {"labels": len(result.labels), **{f: getattr(stats, f) for f in SolveStats.__slots__}}
+    return {"labels": len(result.labels), **result.stats._asdict()}
 
 
 def serialize_frontier(result: FrontierResult) -> str:
@@ -283,7 +280,7 @@ def frontier_json(result: FrontierResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def serialize_greedy(result: GreedyResult) -> str:
+def serialize_greedy(result: "GreedyResult") -> str:
     """The greedy solution's ids ascending, vector, weight and guarantee, on one line."""
     return (
         f"items={_format_items(sorted(result.subset))} vector={format_vector(result.vector)} "

@@ -9,22 +9,18 @@ their results as the frontier types defined here.
 
 No record here is built by ``dataclasses``, which a process would
 otherwise import (with ``inspect``, ``ast`` and ``dis``) on every
-request. ``Item``, ``Label`` and ``FrontierResult`` are named tuples;
-``SolveStats`` is a mutable ``__slots__`` class whose slots are the
-``# stats`` fields in order; ``Instance`` is a ``__slots__`` class that
-validates on construction and refuses assignment. ``Instance`` and
-``Item`` keep the dataclass protocol, ``dataclasses.replace``
-included, through ``__dataclass_fields__``, built on first read.
+request. ``Item``, ``Label``, ``SolveStats`` and ``FrontierResult`` are
+named tuples, whose fields cannot be assigned; ``SolveStats``'s fields
+are the ``# stats`` fields in order. ``Instance`` is a ``__slots__``
+class that validates on construction and refuses assignment.
+``Instance`` and ``Item`` keep the dataclass protocol,
+``dataclasses.replace`` included, through ``__dataclass_fields__``,
+built on first read.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # named in annotations only, which are never evaluated
-    from typing import Iterable
 
 __all__ = [
     "FrontierResult",
@@ -142,43 +138,35 @@ class Label(namedtuple("Label", "vector weight items")):
     __slots__ = ()
 
 
-class SolveStats:
+class SolveStats(
+    namedtuple(
+        "SolveStats", "cells max_cell comparisons wall_time backend", defaults=(0, 0, 0, 0.0, "")
+    )
+):
     """Counters from one solver run.
 
     ``backend`` names what ran: ``"c-kernel"`` or ``"python"`` for the
     two implementations of the DP row kernel, ``"oracle"`` for
     brute-force enumeration, which counts no comparisons. Given the same
     input and backend, only wall_time varies between runs; both kernels
-    give the same counters. Each row is one list of labels, and
-    ``comparisons`` counts the candidate x frontier pairs its merge
-    takes up: each label of row i-1 and each extension of one by item i,
-    in order of weight, against the kept labels that no kept label
-    covers, until one of them covers it. ``max_cell`` is the size of
-    the largest cell. Without ``--matrix`` the sweep goes heaviest item
-    first and counts a label lighter than W less the weight still to
-    come as weighing that much (see ``qknap.dp``): ``comparisons`` and
-    ``max_cell`` count the merges of those rows and the cells they
-    hold, while ``cells`` stays n * (W + 1), the size of the whole
-    table with W clamped to the total weight. Each field, in this
-    order, is printed after the label count as one ``# name=value``
+    give the same counters. ``wall_time`` times the solve alone: its
+    clock starts once the DP's row kernel is loaded, or built and
+    cached, so neither the load nor the build is in it. Each row is one
+    list of labels, and ``comparisons`` counts the candidate x frontier
+    pairs its merge takes up: each label of row i-1 and each extension
+    of one by item i, in order of weight, against the kept labels that
+    no kept label covers, until one of them covers it. ``max_cell`` is
+    the size of the largest cell. Without ``--matrix`` the sweep goes
+    heaviest item first and counts a label lighter than W less the
+    weight still to come as weighing that much (see ``qknap.dp``):
+    ``comparisons`` and ``max_cell`` count the merges of those rows and
+    the cells they hold, while ``cells`` stays n * (W + 1), the size of
+    the whole table with W clamped to the total weight. Each field, in
+    this order, is printed after the label count as one ``# name=value``
     stats line and one ``--json`` stats key (see ``qknap.instance_io``).
     """
 
-    __slots__ = ("cells", "max_cell", "comparisons", "wall_time", "backend")
-
-    def __init__(
-        self,
-        cells: int = 0,
-        max_cell: int = 0,
-        comparisons: int = 0,
-        wall_time: float = 0.0,
-        backend: str = "",
-    ) -> None:
-        self.cells = cells
-        self.max_cell = max_cell
-        self.comparisons = comparisons
-        self.wall_time = wall_time
-        self.backend = backend
+    __slots__ = ()
 
 
 class FrontierResult(namedtuple("FrontierResult", "labels stats matrix", defaults=(None,))):

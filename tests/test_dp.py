@@ -653,6 +653,7 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
         loaded = names - bare
         assert {"qknap.cli", "qknap.instance_io", "qknap.model"} | runs <= loaded
         unused = {"subprocess", "tempfile", "hashlib", "_hashlib", "platform", "json", "fractions"}
+        unused |= {"__future__"}  # no served module postpones its annotations
         unused |= {"qknap.commands", "argparse", "gettext", "locale"}
         unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
         unused |= {"qknap.dominance", "qknap.oracle"}

@@ -100,8 +100,8 @@ assert isinstance(vars(Item)["__dataclass_fields__"], dict)
 
 
 def test_records_refuse_assignment(table1):
-    result = solve(table1)
-    for record in (table1, table1.items[0], result.labels[0], result):
+    result, oracle = solve(table1), enumerate_frontier(table1)
+    for record in (table1, table1.items[0], result.labels[0], result, result.stats, oracle.stats):
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
