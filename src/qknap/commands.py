@@ -13,8 +13,7 @@ enumerate, gen, check and bench, and the argparse types ``_int``,
 first would find the other half-built.
 """
 
-from __future__ import annotations
-
+import argparse
 import sys
 
 from .cli import EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK, _cmd_greedy, _cmd_solve, _fail
@@ -31,8 +30,7 @@ from .instance_io import (
 from .model import rank_cardinality_vector, total_weight
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # named in annotations only, which are never evaluated
-    import argparse
+if TYPE_CHECKING:  # named in quoted annotations only, which are never evaluated
     from fractions import Fraction
 
 
@@ -95,9 +93,8 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _ratio(text: str) -> Fraction:
+def _ratio(text: str) -> "Fraction":
     """'P/Q' or 'P', each an integer as ``parse_int`` reads it."""
-    import argparse
     from fractions import Fraction
 
     try:
@@ -108,8 +105,6 @@ def _ratio(text: str) -> Fraction:
 
 
 def _int(text: str) -> int:
-    import argparse
-
     try:
         return parse_int(text)
     except ValueError:  # argparse's own words for a failed type=int
@@ -118,8 +113,6 @@ def _int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     """Comma-separated integers; an empty or blank text is the empty list."""
-    import argparse
-
     try:
         return [parse_int(t) for t in text.split(",")] if text.strip() else []
     except ValueError:
@@ -133,6 +126,8 @@ def _cmd_bench(args) -> int:
 
     key = "capacity" if args.capacity is not None else "ratio"
     # the whole sweep's parameters are checked before the CSV header is printed
+    if args.seeds < 0:
+        raise ValueError(f"seeds must be >= 0, got {args.seeds}")
     sweep = [
         GeneratorParams(n=n, k=k, weight_max=wmax, seed=seed, **{key: cap})
         for n, k, cap, seed, wmax in product(
@@ -152,8 +147,6 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="qknap",
         description="0/1 knapsack with ordinal item levels: exact frontier and greedy solvers.",

@@ -8,13 +8,12 @@ makes it the right order for ordinal profits. When the test fails, an
 explicit valuation witnessing the failure can be constructed.
 
 All valuation arithmetic is exact (``fractions.Fraction``); no floats.
+A :class:`Valuation` is the tuple of its values, checked when built,
+so that ``check --witness`` and ``enumerate`` need no ``dataclasses``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar
 
 from .model import Label, RankVector, canonical_key
 
@@ -28,8 +27,6 @@ __all__ = [
     "suffix_sums",
     "weakly_dominates",
 ]
-
-L = TypeVar("L", bound=Label)
 
 
 def _check_k(g1: Sequence[int], g2: Sequence[int]) -> None:
@@ -74,14 +71,17 @@ def equivalent(g1: RankVector, g2: RankVector) -> bool:
     return tuple(g1) == tuple(g2)
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Strictly increasing positive rational values, one per level."""
+class Valuation(tuple):
+    """Strictly increasing positive rational values, one per level.
 
-    values: tuple[Fraction, ...]
+    A tuple of its ``Fraction`` values, checked on construction: it
+    equals the plain tuple of them and iterates over them.
+    """
 
-    def __init__(self, values: Iterable[int | Fraction]) -> None:
-        vals = tuple(Fraction(v) for v in values)
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[int | Fraction]) -> "Valuation":
+        vals = super().__new__(cls, map(Fraction, values))
         if not vals:
             raise ValueError("valuation needs at least one level")
         if vals[0] <= 0:
@@ -89,17 +89,21 @@ class Valuation:
         for lo, hi in zip(vals, vals[1:]):
             if hi <= lo:
                 raise ValueError(f"valuation values must strictly increase: {lo} !< {hi}")
-        object.__setattr__(self, "values", vals)
+        return vals
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(self)
 
     @property
     def k(self) -> int:
-        return len(self.values)
+        return len(self)
 
 
 def evaluate(v: Valuation, g: RankVector) -> Fraction:
     """Total value of a selection under ``v``: the dot product v . g."""
-    _check_k(v.values, g)
-    return sum((val * c for val, c in zip(v.values, g)), Fraction(0))
+    _check_k(v, g)
+    return sum((val * c for val, c in zip(v, g)), Fraction(0))
 
 
 def falsification_witness(g1: RankVector, g2: RankVector, n: int) -> Valuation | None:
@@ -128,7 +132,7 @@ def falsification_witness(g1: RankVector, g2: RankVector, n: int) -> Valuation |
     return witness
 
 
-def pareto_filter(labels: Iterable[L]) -> list[L]:
+def pareto_filter(labels: Iterable[Label]) -> list[Label]:
     """Reduce labels to the non-dominated ones, one per distinct vector.
 
     Among labels with equal vectors the minimal-weight one survives,
@@ -137,7 +141,7 @@ def pareto_filter(labels: Iterable[L]) -> list[L]:
     frontier order. Reference implementation by pairwise tests;
     quadratic and meant for modest inputs.
     """
-    best: dict[RankVector, L] = {}
+    best: dict[RankVector, Label] = {}
     for lab in labels:
         cur = best.get(lab.vector)
         if cur is None or (lab.weight, lab.items) < (cur.weight, cur.items):

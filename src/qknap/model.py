@@ -13,9 +13,9 @@ request. ``Item``, ``Label``, ``SolveStats`` and ``FrontierResult`` are
 named tuples, whose fields cannot be assigned; ``SolveStats``'s fields
 are the ``# stats`` fields in order. ``Instance`` is a ``__slots__``
 class that validates on construction and refuses assignment.
-``Instance`` and ``Item`` keep the dataclass protocol,
+``Instance`` alone keeps the dataclass protocol,
 ``dataclasses.replace`` included, through ``__dataclass_fields__``,
-built on first read.
+built on first read; ``Item._replace`` copies an item with new fields.
 """
 
 from collections import namedtuple
@@ -73,7 +73,6 @@ class Item(namedtuple("Item", "id weight level")):
     """One knapsack item: unique id, positive weight, level in 1..k."""
 
     __slots__ = ()
-    __dataclass_fields__ = _DataclassFields()
 
 
 class Instance:

@@ -5,10 +5,8 @@ program and the greedy guarantees on small instances. Guarded against
 accidental use on instances where 2^n is no longer a joke.
 """
 
-from __future__ import annotations
-
 import time
-from typing import Iterator
+from collections.abc import Iterator
 
 from .dominance import pareto_filter
 from .model import FrontierResult, Instance, Label, SolveStats, Subset

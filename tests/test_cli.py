@@ -341,6 +341,7 @@ def test_bench_requires_capacity_or_ratio():
         ("--k", "2", "--capacity", "5", "--n", "4,"),  # an empty token
         ("--k", "2", "--capacity", "5", "--n", "4, 5"),  # int() reads " 5"
         ("--k", "2", "--capacity", "5", "--seeds", "+2"),
+        ("--k", "2", "--capacity", "5", "--seeds", "-1"),
     ]:
         proc = run_cli(*base, *bad)
         assert proc.returncode == 2, bad

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -72,6 +74,11 @@ def test_valuation_validation():
         Valuation(())
     exact = Valuation((Fraction(1, 3), Fraction(2, 3)))
     assert exact.values == (Fraction(1, 3), Fraction(2, 3))
+    # a valuation is the tuple of its values
+    v = Valuation((1, 2))
+    assert v == (Fraction(1), Fraction(2)) and len(v) == v.k == 2
+    for clone in (pickle.loads(pickle.dumps(exact)), copy.copy(exact), copy.deepcopy(exact)):
+        assert type(clone) is Valuation and clone == exact
     assert exact.k == 2
 
 

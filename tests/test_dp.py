@@ -94,7 +94,7 @@ def test_solve_zero_capacity(table1):
     zero = Instance(k=4, capacity=0, items=table1.items)
     # every item heavier than the capacity: each column keeps only the zero label
     heavy = Instance(
-        k=4, capacity=2, items=tuple(replace(it, weight=it.weight + 2) for it in table1.items)
+        k=4, capacity=2, items=tuple(it._replace(weight=it.weight + 2) for it in table1.items)
     )
     # the first item fits no column, the second fits columns 1 and 2
     late = Instance(k=2, capacity=2, items=(Item(1, 5, 1), Item(2, 1, 2)))
@@ -265,7 +265,7 @@ def _path_instance(shape):
     inst = generate_instance(params)
     ids = [item.id for item in inst.items]
     random.Random(seed).shuffle(ids)
-    return replace(inst, items=tuple(replace(item, id=i) for item, i in zip(inst.items, ids)))
+    return replace(inst, items=tuple(item._replace(id=i) for item, i in zip(inst.items, ids)))
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
@@ -612,9 +612,11 @@ def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
         ]
 
 
-def _imports(*args):
+def _imports(*args, env=None):
     """``python -X importtime *args``: the finished process and every module it imported."""
-    run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env
+    )
     lines = run.stderr.splitlines()
     timed = [ln.startswith("import time:") for ln in lines]
     names = {ln.rsplit("|", 1)[1].strip() for ln, t in zip(lines, timed) if t}
@@ -661,3 +663,22 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
         if "qknap.ckernel" not in runs:  # nor the kernel's loader and its cache key
             unused |= {"ctypes", "shlex"}
         assert loaded & unused == set(), (command, path.name, rest)
+
+
+def test_an_unserved_command_loads_only_what_it_runs(data_dir):
+    # check --witness, enumerate, gen and bench need no dataclass or typing
+    # machinery. -S keeps a site .pth file, which may import such a module
+    # first, from hiding an import of it here.
+    env = {**os.environ, "PYTHONPATH": str(Path(qknap.dp.__file__).parents[1])}
+    table1 = str(data_dir / "table1.qknap")
+    unused = {"dataclasses", "inspect", "ast", "dis", "typing", "__future__"}
+    for argv in [
+        ["check", table1, "--a", "1,4", "--b", "2,3", "--witness"],
+        ["enumerate", table1],
+        ["gen", "--n", "5", "--k", "2", "--ratio", "1/2", "--wmax", "4", "--seed", "1"],
+        ["bench", "--n", "4,40", "--k", "3", "--capacity", "60", "--wmax", "9", "--seeds", "1"],
+    ]:
+        run, names = _imports("-S", "-m", "qknap", *argv, env=env)
+        assert run.returncode == 0, run.stderr
+        assert "qknap.commands" in names, argv
+        assert names & unused == set(), argv
