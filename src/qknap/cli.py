@@ -21,9 +21,7 @@ only then. ``qknap.commands`` also holds the other subcommands, so a
 served request neither compiles them nor imports argparse. Each
 subcommand imports the modules it needs when it runs, so that a
 ``solve`` process loads only cli, instance_io, model and dp. No qknap
-module imports ``dataclasses`` or ``typing``: ``Instance`` builds its
-dataclass fields only when a caller of ``dataclasses.replace`` reads
-them (see ``qknap.model``).
+module imports ``dataclasses`` or ``typing``.
 
 ``main`` returns the exit code and leaves the process as it found it.
 The program entry is ``qknap.__main__.run``, which ``python -m qknap``,

@@ -9,13 +9,13 @@ their results as the frontier types defined here.
 
 No record here is built by ``dataclasses``, which a process would
 otherwise import (with ``inspect``, ``ast`` and ``dis``) on every
-request. ``Item``, ``Label``, ``SolveStats`` and ``FrontierResult`` are
-named tuples, whose fields cannot be assigned; ``SolveStats``'s fields
-are the ``# stats`` fields in order. ``Instance`` is a ``__slots__``
-class that validates on construction and refuses assignment.
-``Instance`` alone keeps the dataclass protocol,
-``dataclasses.replace`` included, through ``__dataclass_fields__``,
-built on first read; ``Item._replace`` copies an item with new fields.
+request. ``Item``, ``Instance``, ``Label``, ``SolveStats`` and
+``FrontierResult`` are named tuples, whose fields cannot be assigned;
+``SolveStats``'s fields are the ``# stats`` fields in order.
+``Instance`` validates however it is built. It alone keeps the
+dataclass protocol, ``dataclasses.replace`` included, through
+``__dataclass_fields__``, built on first read; ``_replace`` copies any
+of these records with new fields.
 """
 
 from collections import namedtuple
@@ -75,47 +75,23 @@ class Item(namedtuple("Item", "id weight level")):
     __slots__ = ()
 
 
-class Instance:
+class Instance(namedtuple("Instance", "k capacity items")):
     """A problem instance: k levels, capacity, and items in input order.
 
-    Valid once it exists: construction, ``dataclasses.replace`` included,
-    runs :func:`validate_instance` and raises
-    :class:`InvalidInstanceError` on any broken invariant, so solvers
-    take an instance as it comes. Its fields cannot be assigned.
+    Valid once it exists: construction runs :func:`validate_instance`
+    and raises :class:`InvalidInstanceError` on any broken invariant, so
+    solvers take an instance as it comes. Every other way to build one,
+    ``dataclasses.replace``, ``_replace``, ``_make``, ``copy``,
+    ``pickle`` and ``copy.replace``, goes through that constructor.
     """
 
-    __slots__ = ("k", "capacity", "items", "__dict__")  # __dict__ holds the cached by_id
-    _fields = ("k", "capacity", "items")
     __dataclass_fields__ = _DataclassFields()
+    # _replace and copy.replace build through _make, which would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __init__(self, k: int, capacity: int, items: Iterable[Item]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "items", items if isinstance(items, tuple) else tuple(items))
-        validate_instance(self)  # the module-level name, which perfbench's tracer wraps
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def _astuple(self) -> tuple:
-        return self.k, self.capacity, self.items
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return f"Instance(k={self.k!r}, capacity={self.capacity!r}, items={self.items!r})"
-
-    def __reduce__(self) -> tuple:
-        return Instance, self._astuple()
+    def __new__(cls, k: int, capacity: int, items: Iterable[Item]) -> "Instance":
+        # the module-level name, which perfbench's tracer wraps
+        return validate_instance(tuple.__new__(cls, (k, capacity, tuple(items))))
 
     @cached_property
     def by_id(self) -> dict[int, Item]:
@@ -178,13 +154,22 @@ class FrontierResult(namedtuple("FrontierResult", "labels stats matrix", default
     __slots__ = ()
 
 
+def _integers(where: str, names: Iterable[str], values: Iterable) -> None:
+    """Raise :class:`InvalidInstanceError` naming the first value that is not an ``int``."""
+    for name, value in zip(names, values):
+        if not isinstance(value, int):
+            raise InvalidInstanceError(f"{where}{name} must be an integer, got {value!r}")
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
     ``Instance`` runs this on construction, so an existing instance has
     passed it. Raises :class:`InvalidInstanceError` with a diagnostic
-    naming the offending field and item id.
+    naming the offending field and item id. Every field is an ``int``,
+    as in the file format: the DP's kernels take no other number.
     """
+    _integers("", ("k", "capacity"), raw)
     if raw.k < 1:
         raise InvalidInstanceError(f"k must be >= 1, got {raw.k}")
     if raw.capacity < 0:
@@ -193,6 +178,8 @@ def validate_instance(raw: Instance) -> Instance:
         raise InvalidInstanceError(f"capacity must be < 2**63, got {raw.capacity}")
     seen: set[int] = set()
     for ident, weight, level in raw.items:  # unpacked: a namedtuple field read is a call
+        if not (isinstance(ident, int) and isinstance(weight, int) and isinstance(level, int)):
+            _integers(f"item {ident!r}: ", Item._fields, (ident, weight, level))
         if ident < 1:
             raise InvalidInstanceError(f"item {ident}: id must be >= 1")
         if ident in seen:

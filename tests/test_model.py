@@ -1,4 +1,6 @@
+import copy
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import instances
+from helpers import compiler_found, instances
 from qknap import (
+    GeneratorParams,
     Instance,
     InvalidInstanceError,
     Item,
     enumerate_frontier,
+    generate_instance,
     greedy_r,
     greedy_w,
     rank_cardinality_vector,
@@ -66,9 +70,52 @@ def test_validate_rejects_nonpositive_id():
         Instance(k=1, capacity=1, items=(Item(0, 1, 1),))
 
 
+# A field that is not an int, which the file format cannot hold: a float
+# capacity fails inside the C kernel's ctypes call, and the Python twin solves
+# a capacity of 5.5 as given. 40 items of weight up to 9 make 2,440 cells,
+# enough for the C kernel; 4 items run the Python twin.
+@pytest.mark.parametrize(
+    "n, field, value, message",
+    [
+        (40, "capacity", 60.0, "capacity must be an integer, got 60.0"),
+        (4, "capacity", 5.5, "capacity must be an integer, got 5.5"),
+        (4, "k", 3.0, "k must be an integer, got 3.0"),
+        (4, "id", 1.0, "item 1.0: id must be an integer, got 1.0"),
+        (40, "weight", 2.0, "item 1: weight must be an integer, got 2.0"),
+        (4, "weight", 2.0, "item 1: weight must be an integer, got 2.0"),
+        (4, "level", "1", "item 1: level must be an integer, got '1'"),
+    ],
+)
+def test_validate_rejects_fields_that_are_not_integers(n, field, value, message):
+    valid = generate_instance(GeneratorParams(n=n, k=3, weight_max=9, seed=1, capacity=60))
+    backend = "c-kernel" if n == 40 and compiler_found() else "python"
+    assert solve(valid).stats.backend == backend
+    fields = {"k": valid.k, "capacity": valid.capacity, "items": list(valid.items)}
+    if field in fields:
+        fields[field] = value
+    else:
+        fields["items"][0] = fields["items"][0]._replace(**{field: value})
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        Instance(**fields)
+
+
 def test_replace_validates(table1):
     with pytest.raises(InvalidInstanceError, match="capacity must be >= 0, got -1"):
         replace(table1, capacity=-1)
+    # every other way to build an Instance goes through its constructor too
+    broken = tuple.__new__(Instance, (1, -1, ()))  # skips __new__, as no caller should
+    builds = [
+        lambda: table1._replace(capacity=-1),
+        lambda: Instance._make((0, 1, ())),
+        lambda: pickle.loads(pickle.dumps(broken)),
+        lambda: copy.copy(broken),
+        lambda: copy.deepcopy(broken),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        builds.append(lambda: copy.replace(table1, capacity=-1))
+    for build in builds:
+        with pytest.raises(InvalidInstanceError):
+            build()
 
 
 def test_dataclass_protocol_on_first_use():
@@ -116,7 +163,7 @@ def test_equal_instances_are_equal_and_hash_equal(table1, data_dir):
     assert twin == table1 and hash(twin) == hash(table1)
     assert read_instance(str(data_dir / "table1.qknap")) == table1
     assert replace(table1, capacity=5) != table1
-    assert table1 != (table1.k, table1.capacity, table1.items)
+    assert table1 == (table1.k, table1.capacity, table1.items)
     assert len({table1, twin, replace(table1, k=5)}) == 2
     assert repr(Instance(k=1, capacity=2, items=(Item(1, 2, 1),))) == (
         "Instance(k=1, capacity=2, items=(Item(id=1, weight=2, level=1),))"
@@ -124,7 +171,7 @@ def test_equal_instances_are_equal_and_hash_equal(table1, data_dir):
 
 
 def test_instances_pickle(table1):
-    table1.by_id  # the cached by_id is built again, not pickled
+    table1.by_id  # a built by_id travels in the pickle; the fields go through __new__
     clone = pickle.loads(pickle.dumps(table1))
     assert clone == table1 and clone.by_id == table1.by_id
 
