@@ -23,9 +23,9 @@ order; cell (i, x) is read from row i for every x <= W, where a label
 enters at its weight and leaves at the weight of the lightest label
 that covers it.
 
-A row is one stdlib ``array`` of typecode "Q" (uint64), one record of R
-words per label, laid out by ``_lanes`` and by it alone: the lane words,
-the weight, then the witness words.
+A row is a run of uint64 words, one record of R words per label, laid
+out by ``_lanes`` and by it alone: the lane words, the weight, then the
+witness words.
 
 The lane words hold the k suffix sums, which make dominance a plain
 componentwise comparison. Each sum sits in a lane of its own, ``lane``
@@ -54,38 +54,38 @@ guard, a weight at most W < 2**63 plus the item's, also below 2**63,
 and the witness bit is clear in every label of the previous row,
 because each item is swept once. Extensions heavier than W are dropped.
 
-One row kernel merges a row, in two implementations that give the same
-labels and counters: C (``_rowkernel.c``, shipped beside this module)
-and its pure-Python twin ``_row_kernel_py``, which follows it step for
-step. A solve of at least ``_KERNEL_MIN_CELLS`` cells imports
-``qknap.ckernel``, which builds the C kernel on first use, caches the
-build and loads it through ctypes; smaller solves, and every solve when
-the C kernel cannot be had, take the twin, and never import
-``qknap.ckernel``, ``ctypes`` or ``shlex``. ``SolveStats.backend``
-names the kernel that ran.
+One sweep merges every row, in two implementations that give the same
+rows and counters: a C extension (``_rowkernel.c``, shipped beside this
+module) and its pure-Python twin ``_sweep_py``, which follows it step
+for step. A solve of at least ``_KERNEL_MIN_CELLS`` cells imports
+``qknap.ckernel``, which builds the extension on first use, caches the
+build and loads it; smaller solves, and every solve when it cannot be
+had, take the twin. ``SolveStats.backend`` names the kernel that ran.
+C checks its inputs, grows its own buffers and may raise.
 
-Both kernels take a row, the item's record, ks, the guard mask H of a
-lane word, the next row's t and W, and return the next row, the
-comparisons and max_cell: one row in, one row out. The candidates are
-the row's records, A, and their extensions by the item, B, whose
-records heavier than W form a suffix of B and are dropped. Both runs
-are sorted by the next row's clamped weight, and the kernels take the
-candidates in that order, A first on a tie. Each candidate is compared
-with the prefix frontier F: the kept labels that no other kept label
-covers. A covered candidate is dropped, and its scan ends there: F is
-an antichain, so it covers none of F. A kept candidate joins F and
-takes out of it every label it covers; one at its own clamped weight is
-covered in every cell it would be in, so it is marked dead by a weight
-of W + 1, which no label has, and the dead leave the row after the
-sweep. The comparisons count the candidate x F pairs the scans take up,
-an upper bound on the dominance tests run. max_cell is the largest
-size of F when the clamped weight changes or the sweep ends, which is
-the largest cell (i, x), x >= t, of the next row i. The kernels know
-nothing of the zero label: ``solve`` leaves it out of max_cell and of
-the reported labels. Every nonzero label covers it, so F keeps it only
-while no item swept so far fits, and then holds nothing else: the
-kernels' max_cell counts it only when the frontier is empty, and
-``solve`` checks that once, after the sweep.
+``solve`` builds the item records and the rows' t once, and the sweep
+takes them with R, ks, the guard mask H of a lane word, W and a
+keep-rows flag, and returns the rows as bytes (every row with the flag,
+else the last), the comparisons and max_cell. Each row is merged from
+the one before: the candidates are its records, A, and their
+extensions by the item, B, whose records heavier than W form a suffix
+of B and are dropped. Both runs are sorted by the next row's clamped
+weight, and the merge takes the candidates in that order, A first on a
+tie. Each candidate is compared with the prefix frontier F: the kept
+labels that no other kept label covers. A covered candidate is
+dropped, and its scan ends there: F is an antichain, so it covers none
+of F. A kept candidate joins F and takes out of it every label it
+covers; one at its own clamped weight is covered in every cell it
+would be in, so it is marked dead by a weight of W + 1, which no label
+has, and the dead leave the row after the merge. The comparisons count
+the candidate x F pairs the scans take up, an upper bound on the
+dominance tests run. max_cell is the largest size of F when the
+clamped weight changes or a row ends, which is the largest cell (i, x),
+x >= t, of any row i. The sweep knows nothing of the zero label:
+``solve`` leaves it out of max_cell and of the reported labels. Every
+nonzero label covers it, so F keeps it only while no item swept so far
+fits, and then holds nothing else: max_cell counts it only when the
+frontier is empty, and ``solve`` checks that once, after the sweep.
 """
 
 import math
@@ -98,15 +98,15 @@ from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 
 __all__ = ["label_bound", "solve"]
 
-# Solves of at least this many cells (n * (W + 1)) run the C kernel. On a
+# Solves of at least this many cells (n * (W + 1)) run the C sweep. On a
 # 2,440-cell instance (n=40, k=3, wmax=9, W=60) the Python twin takes
-# 0.74-0.77 us per cell and the C kernel 0.08 us (in-process, best of 20);
-# loading a cached build in a new process, ctypes and shlex included, takes
-# 2.0-2.2 ms, and a build, cached for later processes, 0.14-0.17 s (2-vCPU
-# VM, gcc 12.2, Python 3.11). The threshold keeps small solves, such as a
-# 44-cell cold start or the benchmark's 364-658-cell batch instances, on the
-# twin, so they never start the compiler; the 2,440-cell instance and the
-# dense (4,700-5,600 cells) and wide (20,200) workloads run C.
+# 1.5 us per cell and C 0.13 us (in-process, best of 20); in a new process
+# that finds no bytecode, importing qknap.ckernel and loading the cached
+# extension takes 1.6-1.8 ms, and a build, cached for later processes,
+# 0.29 s (2-CPU sandbox, gcc 12.2, Python 3.11.7). The threshold keeps small
+# solves, such as a 44-cell cold start or the benchmark's 364-658-cell batch
+# instances, on the twin, so they never start the compiler; the 2,440-cell
+# instance and the dense (4,700-5,600 cells) and wide (20,200) workloads run C.
 _KERNEL_MIN_CELLS = 2_000
 
 
@@ -138,7 +138,7 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     if not keep_matrix:
         W = min(W, sum(item.weight for item in inst.items))
     cells = n * (W + 1)
-    kernel, backend = _row_kernel(cells)  # loaded, or built, before the clock starts
+    kernel, backend = _kernel(cells)  # loaded, or built, before the clock starts
     t0 = time.perf_counter()
     if keep_matrix:  # cells of input prefixes, unclamped: all items in input order
         items = inst.items
@@ -149,56 +149,45 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
     ids = sorted(item.id for item in inst.items)
     rank = {iid: r for r, iid in enumerate(ids)}
     ks, R, H, _, where = lanes = _lanes(k, n)
-    row = array("Q", [0]) * R  # row 0: the all-zero label (empty subset)
-    rows, comparisons, max_cell = [row], 0, 0
-    for item in items:
+    recs, ts = array("Q", [0]) * (len(items) * R), array("Q")  # what extending by each item adds
+    for o, item in zip(range(0, len(recs), R), items):
         rem -= item.weight
         # rem is now the weight of the items after this one: they lift any label below W - rem to W
-        t = 0 if keep_matrix else max(0, W - rem)
-        rec = array("Q", [0]) * R  # what extending a label by the item adds
+        ts.append(0 if keep_matrix else max(0, W - rem))
         for q, shift in where[: item.level]:
-            rec[q] += 1 << shift
+            recs[o + q] += 1 << shift
         r = rank[item.id]
-        rec[ks], rec[ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
-        row, comps, mc = kernel(row, rec, ks, H, t, W)
-        comparisons += comps
-        max_cell = max(max_cell, mc)
-        if keep_matrix:
-            rows.append(row)
+        recs[o + ks], recs[o + ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
+    rows, comparisons, max_cell = kernel(recs, ts, R, ks, H, W, keep_matrix)
     matrix = tuple(_cells(r, W, lanes, ids) for r in rows) if keep_matrix else None
     # without a matrix the last row, clamped at W, is cell (n, W)
-    labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(row, lanes, ids))
+    labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(rows[-1], lanes, ids))
     if not labels:  # the frontiers held only the zero label, which does not count
         max_cell = 0
     stats = SolveStats(cells, max_cell, comparisons, time.perf_counter() - t0, backend)
     return FrontierResult(labels=labels, stats=stats, matrix=matrix)
 
 
-def _row_kernel(cells: int):
-    """``(kernel, backend)`` for a solve of ``cells`` cells.
-
-    The C kernel at or above ``_KERNEL_MIN_CELLS`` when ``qknap.ckernel``
-    loads it, else the Python twin. Below the threshold nothing imports
-    ``qknap.ckernel``, nor with it ``ctypes`` and ``shlex``.
-    """
+def _kernel(cells: int):
+    """``(sweep, backend)``: C at or above ``_KERNEL_MIN_CELLS`` cells when it loads, else the twin."""
     if cells >= _KERNEL_MIN_CELLS:
         from .ckernel import _load_row_kernel
 
         kernel = _load_row_kernel()[0]
         if kernel is not None:
             return kernel, "c-kernel"
-    return _row_kernel_py, "python"
+    return _sweep_py, "python"
 
 
 def _labels(row, lanes, ids: list[int]) -> list[tuple[int, Label]]:
-    """The row's labels in row order, zero label skipped: ``(lane words, Label)``.
+    """The labels of a row's bytes in row order, zero label skipped: ``(lane words, Label)``.
 
     ``lanes`` is the record layout ``_lanes(k, n)``; the lane words come
     as one integer, word q at bit 64q. ``ids`` lists the item ids in rank
     order, which is ascending, so each witness comes out sorted.
     """
     ks, R, _, mask, where = lanes
-    out = []
+    row, out = memoryview(row).cast("Q"), []
     for i in range(0, len(row), R):
         weight = row[i + ks]
         if weight == 0:
@@ -263,44 +252,45 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     return ks, ks + 1 + -(-n // 64), H, (1 << lane) - 1, where
 
 
-def _row_kernel_py(L, item, ks, H, t, W):
-    """Pure-Python twin of the C row kernel (``_rowkernel.c``).
+def _sweep_py(items, ts, R, ks, H, W, keep):
+    """Pure-Python twin of the C sweep (``_rowkernel.c``), with its arguments and results.
 
-    Same arguments and results as the C kernel's wrapper: ``(next_row,
-    comparisons, max_cell)``. It reads a label's ks lane words as one
-    integer, word q at bit 64q, and tests dominance on that with the guard
+    A label is its ks lane words as one integer, word q at bit 64q, and
+    its record's words. Dominance is tested on the integer with the guard
     bits of every word in ``HH``: no borrow crosses a lane, so the test
     holds across words as it does within one, and extending adds ``INC``.
     """
-    R, wt = len(item), item[ks]
-    INC = sum(v << 64 * q for q, v in enumerate(item[:ks]))
     HH = sum(H << 64 * q for q in range(ks))
-    sums = L[0::R].tolist()
-    for q in range(1, ks):
-        sums = [v | w << 64 * q for v, w in zip(sums, L[q::R])]
-    A = [(s, L[i : i + R].tolist()) for s, i in zip(sums, range(0, len(L), R))]
-    B = [(s + INC, list(map(add, a, item))) for s, a in A if a[ks] + wt <= W]
-    kept, F, comparisons, max_cell, last = [], [], 0, 0, 0
-    for s, c in sorted(A + B, key=lambda cand: max(cand[1][ks], t)):  # stable: A first on a tie
-        w = max(c[ks], t)
-        if w != last:
-            max_cell, last = max(max_cell, len(F)), w
-        rest = []
-        for f in F:
-            comparisons += 1
-            sf, r = f
-            if sf == s:  # equal vectors: the lighter, then the larger witness words
-                if r[ks] < c[ks] or (r[ks] == c[ks] and r[ks + 1 :] > c[ks + 1 :]):
-                    break
-            elif ((sf | HH) - s) & HH == HH:
-                break  # F is an antichain: a c that one f covers covers none of it
-            elif ((s | HH) - sf) & HH != HH:
-                rest.append(f)
-                continue
-            if max(r[ks], t) == w:
-                r[ks] = W + 1  # dead: covered at its own clamped weight, and no label weighs W + 1
-        else:
-            F = rest + [(s, c)]
-            kept.append(c)
-    L_out = array("Q", [v for c in kept if c[ks] <= W for v in c])  # the dead leave
-    return L_out, comparisons, max(max_cell, len(F))
+    flat = lambda row: array("Q", [v for _, c in row for v in c]).tobytes()
+    row, rows, comparisons, max_cell = [(0, [0] * R)], [], 0, 0  # row 0: the zero label
+    for o, t in zip(range(0, len(items), R), ts):
+        if keep:  # copied now: the merge marks the dead in place
+            rows.append(flat(row))
+        item = items[o : o + R].tolist()
+        wt, INC = item[ks], sum(v << 64 * q for q, v in enumerate(item[:ks]))
+        B = [(s + INC, list(map(add, a, item))) for s, a in row if a[ks] + wt <= W]
+        kept, F, last = [], [], 0
+        for s, c in sorted(row + B, key=lambda cand: max(cand[1][ks], t)):  # stable: A first on a tie
+            w = max(c[ks], t)
+            if w != last:
+                max_cell, last = max(max_cell, len(F)), w
+            rest = []
+            for f in F:
+                comparisons += 1
+                sf, r = f
+                if sf == s:  # equal vectors: the lighter, then the larger witness words
+                    if r[ks] < c[ks] or (r[ks] == c[ks] and r[ks + 1 :] > c[ks + 1 :]):
+                        break
+                elif ((sf | HH) - s) & HH == HH:
+                    break  # F is an antichain: a c that one f covers covers none of it
+                elif ((s | HH) - sf) & HH != HH:
+                    rest.append(f)
+                    continue
+                if max(r[ks], t) == w:
+                    r[ks] = W + 1  # dead: covered at its own clamped weight, and no label weighs W + 1
+            else:
+                F = rest + [(s, c)]
+                kept.append(F[-1])
+        max_cell = max(max_cell, len(F))
+        row = [(s, c) for s, c in kept if c[ks] <= W]  # the dead leave
+    return [*rows, flat(row)], comparisons, max_cell

@@ -21,6 +21,7 @@ of these records with new fields.
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import repeat
 
 __all__ = [
     "FrontierResult",
@@ -166,8 +167,10 @@ def validate_instance(raw: Instance) -> Instance:
 
     ``Instance`` runs this on construction, so an existing instance has
     passed it. Raises :class:`InvalidInstanceError` with a diagnostic
-    naming the offending field and item id. Every field is an ``int``,
-    as in the file format: the DP's kernels take no other number.
+    naming the offending field and item id, or the position of an item
+    that is not an :class:`Item`, whose fields solvers read by name.
+    Every field is an ``int``, as in the file format: the DP's kernels
+    take no other number.
     """
     _integers("", ("k", "capacity"), raw)
     if raw.k < 1:
@@ -176,6 +179,9 @@ def validate_instance(raw: Instance) -> Instance:
         raise InvalidInstanceError(f"capacity must be >= 0, got {raw.capacity}")
     if raw.capacity >= _INT64_LIMIT:
         raise InvalidInstanceError(f"capacity must be < 2**63, got {raw.capacity}")
+    if not all(map(isinstance, raw.items, repeat(Item))):
+        i = next(i for i, item in enumerate(raw.items) if not isinstance(item, Item))
+        raise InvalidInstanceError(f"items[{i}] is not an Item: {raw.items[i]!r}")
     seen: set[int] = set()
     for ident, weight, level in raw.items:  # unpacked: a namedtuple field read is a call
         if not (isinstance(ident, int) and isinstance(weight, int) and isinstance(level, int)):

@@ -1,8 +1,10 @@
+import importlib.machinery
 import os
 import pwd
 import random
 import subprocess
 import sys
+import sysconfig
 from array import array
 from dataclasses import replace
 from itertools import product
@@ -284,21 +286,23 @@ def test_tie_break_matches_global_oracle_rule(seed):
 
 
 def _check_rows(kernel, monkeypatch):
-    """Run every row a solve hands the twin through the C kernel too, and record it.
+    """Run every sweep a solve hands the twin through the C sweep too, row by row.
 
-    Returns the list each later solve appends its ``(args, next row)`` to.
+    Returns the list each later solve appends its ``(args, every row)`` to.
     """
-    twin, rows = qknap.dp._row_kernel_py, []
+    twin, sweeps = qknap.dp._sweep_py, []
 
-    def both(row, *args):
-        got = kernel(row, *args)
-        assert got == twin(row, *args), f"item {len(rows)}"
-        rows.append((args, got[0]))
+    def both(*args):
+        rows = kernel(*args[:-1], True)  # the keep-rows flag
+        assert rows == twin(*args[:-1], True), f"sweep {len(sweeps)}"
+        sweeps.append((args, rows[0]))
+        got = kernel(*args)
+        assert got == twin(*args), f"sweep {len(sweeps)}"
         return got
 
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
-    monkeypatch.setattr(qknap.dp, "_row_kernel_py", both)
-    return rows
+    monkeypatch.setattr(qknap.dp, "_sweep_py", both)
+    return sweeps
 
 
 @needs_cc
@@ -319,9 +323,10 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
         fast.stats.comparisons,
     )
     # row by row, over every column in input order (the windows are checked below)
-    rows = _check_rows(kernel, monkeypatch)
+    sweeps = _check_rows(kernel, monkeypatch)
     assert solve(inst, keep_matrix=True).labels == ref.labels
-    assert len(rows) == len(inst.items)
+    [(_, rows)] = sweeps
+    assert len(rows) == len(inst.items) + 1
 
 
 @needs_cc
@@ -341,12 +346,14 @@ def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
     fit = [item for item in inst.items if item.weight <= W]
     order = sorted(fit, key=lambda item: -item.weight)  # stable: ties keep input order
     want = solve(inst, keep_matrix=True).labels  # input order, every column
-    rows = _check_rows(kernel, monkeypatch)
+    sweeps = _check_rows(kernel, monkeypatch)
     assert solve(inst).labels == want
     ids = sorted(item.id for item in inst.items)
-    assert len(rows) == len(order)
-    for i, ((rec, ks, _, t, W_arg), L) in enumerate(rows, start=1):
+    [((items, ts, R, ks, _, W_arg, keep), rows)] = sweeps
+    assert (len(rows), W_arg, keep) == (len(order) + 1, W, False)
+    for i, L in enumerate(rows[1:], start=1):
         # the item record's witness word holds the item's rank among the ids
+        rec, t = items[(i - 1) * R : i * R], ts[i - 1]
         (q, word), = [(q, w) for q, w in enumerate(rec[ks + 1 :]) if w]
         assert (ids[64 * q + 63 - (word.bit_length() - 1)], rec[ks]) == (
             order[i - 1].id,
@@ -354,14 +361,13 @@ def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
         )
         # row i clamps at W - (weight of the items still to come), is sorted by
         # clamped weight and holds no label heavier than W
-        assert (t, W_arg) == (max(0, W - sum(item.weight for item in order[i:])), W), f"item {i}"
-        clamped = [max(weight, t) for weight in L[ks :: len(rec)]]
+        assert t == max(0, W - sum(item.weight for item in order[i:])), f"item {i}"
+        clamped = [max(weight, t) for weight in memoryview(L).cast("Q")[ks::R]]
         assert clamped == sorted(clamped) and clamped[-1] <= W, f"item {i}"
     # the last row, clamped at W, holds the frontier, plus the zero label when it is empty
-    (rec, *_), L = rows[-1]
     lanes = qknap.dp._lanes(inst.k, len(inst.items))
-    assert qknap.dp._canonical(qknap.dp._labels(L, lanes, ids)) == want
-    assert len(L) // len(rec) == max(1, len(want))
+    assert qknap.dp._canonical(qknap.dp._labels(rows[-1], lanes, ids)) == want
+    assert len(rows[-1]) // (8 * R) == max(1, len(want))
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
@@ -393,7 +399,7 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
     source = Path(qknap.ckernel.__file__).with_name("_rowkernel.c")
     # the kernel is built by whatever cc a user has: keep it to standard C99
     argv = [*qknap.ckernel._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
-    argv += qknap.ckernel._CFLAGS
+    argv += [*qknap.ckernel._CFLAGS, f"-I{sysconfig.get_paths()['include']}"]
     run = subprocess.run(
         [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
         capture_output=True,
@@ -403,48 +409,67 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 
 
 def _kernel_args():
-    """Arguments that fit: row 0 of a solve with k=2, n=3, W=3, and item 1.
+    """Arguments that fit: the sweep of a solve with k=2, n=3, W=3 over items 1 and 2.
 
-    Lanes of 3 bits, 21 to a word: one zero record of one lane word, the
-    weight and one witness word. The item (weight 1, level 1, rank 0)
-    adds 1 to lane 0, its weight and bit 63 of the witness word.
+    Lanes of 3 bits, 21 to a word: a record of one lane word, the weight
+    and one witness word. Item 1 (weight 1, level 1, rank 0) adds 1 to
+    lane 0, its weight and bit 63 of the witness word; item 2 (weight 2,
+    level 2, rank 1) adds 1 to lanes 0 and 1, its weight and bit 62.
     """
     return dict(
-        L=array("Q", [0]) * 3,
-        item=array("Q", [1, 1, 1 << 63]),
+        items=array("Q", [1, 1, 1 << 63, 0o11, 2, 1 << 62]),
+        ts=array("Q", [0, 0]),
+        R=3,
         ks=1,
         H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
-        t=0,
         W=3,
+        keep=True,
     )
+
+
+def _sweep(kernel, **args):
+    rows, *counts = kernel(*{**_kernel_args(), **args}.values())
+    return [list(memoryview(row).cast("Q")) for row in rows], *counts
 
 
 @needs_cc
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(L=array("Q", [0]) * 2),
-        dict(L=array("q", [0]) * 3),
-        dict(item=array("Q", [1, 2**64 - 1, 1 << 63])),  # added to a weight, it carries out
+        dict(ts=array("Q", [0, 0, 0])),
+        dict(ts=array("Q", [0])),
+        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 2, 1 << 62]).tobytes()),
+        dict(ts=array("q", [0, 0])),
+        dict(items=array("Q", [1, 2**64 - 1, 1 << 63, 0o11, 2, 1 << 62])),  # it carries out
+        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 0, 1 << 62])),  # no item weighs 0
         dict(ks=3),
         dict(ks=2),  # C compares witness words past the weight on a tie
-        dict(item=array("q", [1, 1, -(1 << 63)])),
-        dict(item=array("Q", [1, 1])),
-        dict(t=4),
-        dict(t=-1),
-        dict(W=2**63, t=0),  # W + 1 marks the dead
+        dict(items=array("q", [1, 1, -(1 << 63), 0o11, 2, 1 << 62])),
+        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 2])),
+        dict(ts=array("Q", [4, 0])),
+        dict(ts=array("Q", [0, 4])),
+        dict(ts=array("q", [-1, 0])),
+        dict(W=2**63, ts=array("Q", [0, 0])),  # W + 1 marks the dead
+        dict(W=2**64),
+        dict(R=-1),
     ],
     ids=[
-        "short-L",
-        "signed-L",
+        "ts-longer-than-the-items",
+        "ts-shorter-than-the-items",
+        "items-of-bytes",
+        "signed-ts",
         "weight-beyond-int64",
+        "weight-zero",
         "ks-beyond-the-item",
         "item-without-witness-words",
         "signed-item",
         "item-one-word-short",
         "clamp-beyond-W",
+        "clamp-beyond-W-on-the-last-row",
         "clamp-below-zero",
         "W-beyond-int64",
+        "W-beyond-uint64",
+        "R-below-zero",
     ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
@@ -452,16 +477,38 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # refused before it touches them
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
-    for each in (kernel, qknap.dp._row_kernel_py):
-        # the item covers the empty subset: suffix sums (1, 0) in lanes 0 and 1,
-        # weight 1, rank 0 in bit 63. Unclamped, the zero label stays for cell 0.
-        L, *counts = each(**_kernel_args())
-        assert (list(L), *counts) == ([0, 0, 0, 1, 1, 1 << 63], 1, 1)
-        # clamped at 2, both weigh 2, so the zero label is covered where it stands
-        L, *counts = each(**{**_kernel_args(), "t": 2})
-        assert (list(L), *counts) == ([1, 1, 1 << 63], 1, 1)
+    zero, one, one_two = [0, 0, 0], [1, 1, 1 << 63], [0o11, 2, 1 << 62]
+    both = [0o12, 3, 3 << 62]
+    for each in (kernel, qknap.dp._sweep_py):
+        # unclamped, every row keeps the zero label for cell 0; item 1 covers it,
+        # then item 2 alone covers item 1 and both cover item 2
+        assert _sweep(each) == ([zero, zero + one, zero + one + one_two + both], 4, 1)
+        assert _sweep(each, keep=False) == ([zero + one + one_two + both], 4, 1)
+        # the last row clamped at 3: all four weigh 3, so both items cover the rest where they stand
+        assert _sweep(each, ts=array("Q", [0, 3])) == ([zero, zero + one, both], 4, 1)
+        # no items, so no witness words: row 0 alone
+        assert _sweep(each, items=array("Q"), ts=array("Q"), R=2) == ([[0, 0]], 0, 0)
     with pytest.raises(ValueError, match="do not fit"):
-        kernel(**{**_kernel_args(), **bad})
+        _sweep(kernel, **bad)
+
+
+@needs_cc
+def test_c_rows_outgrow_their_first_buffers():
+    # The criterion-9 family at W=500 grows its rows from the zero label alone
+    # to over 900 labels, so the sweep regrows its row and frontier buffers
+    # about ten times. Every row must match the twin's.
+    kernel, reason = qknap.ckernel._load_row_kernel()
+    assert kernel is not None, reason
+    inst = generate_instance(GeneratorParams(n=200, k=3, weight_max=50, seed=1, capacity=500))
+    sweeps, twin = [], qknap.dp._sweep_py
+    with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", 10**12):
+        with mock.patch.object(qknap.dp, "_sweep_py", lambda *a: sweeps.append(a) or twin(*a)):
+            want = solve(inst)
+    [(*args, keep)] = sweeps
+    got = kernel(*args, True)
+    assert got == twin(*args, True)
+    assert max(map(len, got[0])) // (8 * args[2]) > 900
+    assert got[1:] == (want.stats.comparisons, want.stats.max_cell)
 
 
 def _unknown_uid(uid):
@@ -486,6 +533,11 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
         cc.chmod(0o755)
         monkeypatch.setenv("CC", str(cc))
         return "no C row kernel: ", str(cc)
+    if case == "no-python-header":  # a compiler that runs, and no Python.h to build with
+        monkeypatch.setenv("CC", "false")
+        include = tmp / "include"
+        monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(include)})
+        return f"no Python.h in {include} to build ", str(include)
     if case == "cache-not-writable":
         cache.write_text("")
         monkeypatch.setenv("CC", "false")
@@ -519,6 +571,7 @@ def _files(directory):
     [
         "no-compiler",
         "compiler-fails",
+        "no-python-header",
         "cache-not-writable",
         "source-unreadable",
         "cached-build-unloadable",
@@ -586,6 +639,26 @@ def test_kernel_cache_is_keyed_by_the_compiler(tmp_path, monkeypatch):
         kernel, reason = qknap.ckernel._load_row_kernel()
         assert kernel is None
         assert "no-such-cc" in reason
+    finally:
+        # the next call loads the kernel again, in the restored environment
+        qknap.ckernel._load_row_kernel.cache_clear()
+
+
+@needs_cc
+def test_each_extension_suffix_gets_its_own_build(tmp_path, monkeypatch):
+    # Interpreters that share a magic number, such as a debug and a release
+    # build, load different extensions: each suffix names its own cache entry.
+    builds = tmp_path / "cache" / "qknap"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    try:
+        for suffix in (importlib.machinery.EXTENSION_SUFFIXES[0], ".cpython-test.so"):
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [suffix])
+            qknap.ckernel._load_row_kernel.cache_clear()
+            kernel, reason = qknap.ckernel._load_row_kernel()
+            assert kernel is not None and reason.endswith(suffix), reason
+            assert _sweep(kernel) == _sweep(qknap.dp._sweep_py)
+        names = sorted(path.name for path in _files(builds))
+        assert len(names) == 2 and names[0].split(".")[0] == names[1].split(".")[0], names
     finally:
         # the next call loads the kernel again, in the restored environment
         qknap.ckernel._load_row_kernel.cache_clear()
@@ -660,8 +733,7 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
         unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
         unused |= {"qknap.dominance", "qknap.oracle"}
         unused |= {"qknap.dp", "qknap.ckernel", "qknap.greedy"} - runs
-        if "qknap.ckernel" not in runs:  # nor the kernel's loader and its cache key
-            unused |= {"ctypes", "shlex"}
+        unused |= {"ctypes", "shlex", "sysconfig"}  # a cached extension loads without them
         assert loaded & unused == set(), (command, path.name, rest)
 
 

@@ -65,13 +65,26 @@ def test_validate_rejects_weights_and_capacity_beyond_int64():
     assert validate_instance(edge) is edge
 
 
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ([(1, 2, 1), (2, 3, 2)], "items[0] is not an Item: (1, 2, 1)"),  # solvers read fields by name
+        ([5], "items[0] is not an Item: 5"),  # not a record at all
+        ([Item(1, 2, 1), (2, 3, 2)], "items[1] is not an Item: (2, 3, 2)"),
+    ],
+)
+def test_validate_rejects_items_that_are_not_items(items, message):
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        Instance(2, 5, items)
+
+
 def test_validate_rejects_nonpositive_id():
     with pytest.raises(InvalidInstanceError, match="id must be >= 1"):
         Instance(k=1, capacity=1, items=(Item(0, 1, 1),))
 
 
 # A field that is not an int, which the file format cannot hold: a float
-# capacity fails inside the C kernel's ctypes call, and the Python twin solves
+# capacity fails inside the C sweep's argument parsing, and the Python twin solves
 # a capacity of 5.5 as given. 40 items of weight up to 9 make 2,440 cells,
 # enough for the C kernel; 4 items run the Python twin.
 @pytest.mark.parametrize(
