@@ -7,22 +7,22 @@ its pure-Python twin, does; ``qknap.dp`` describes the row and the
 merge.
 
 The first load compiles the extension with ``$CC`` (else ``cc``) and the
-interpreter's headers into ``$XDG_CACHE_HOME/qknap`` (else
-``~/.cache/qknap``), under a name keyed by the source, the platform, the
-``$CC`` text and the flags, and ending in the interpreter's first
-extension suffix, and loads it as the module ``qknap._rowkernel``. The
-key's hash is ``importlib.util.source_hash``, which is keyed by the
-interpreter's magic number, so each Python version builds its own copy.
-Later processes load the cached file with ``importlib.machinery`` and
-``importlib.util``, which ``python -m`` has already imported: ``shlex``,
-``sysconfig`` and the compiler toolchain (``shutil``, ``subprocess``,
-``tempfile``) are imported only to build, and a compiler or a
-``Python.h`` that is not there is found missing before anything is
-written. A build compiles into a temporary directory inside the cache
-and is renamed into place. When no compiler or header is found, the
-compiler fails, or an OSError, an ImportError, a missing home directory
-or a ``$CC`` that ``shlex`` cannot split stops the build or the load,
-there is no C kernel and every solve takes the Python twin.
+interpreter's headers into ``$XDG_CACHE_HOME/qknap`` (else, or when that
+path is not absolute, ``~/.cache/qknap``), under a name keyed by the
+source, the platform, the ``$CC`` text and the flags, and ending in the
+interpreter's first extension suffix, and loads it as the module
+``qknap._rowkernel``. The key's hash is ``importlib.util.source_hash``,
+which is keyed by the interpreter's magic number, so each Python version
+builds its own copy. Later processes load the cached file with
+``importlib.machinery`` and ``importlib.util``, which ``python -m`` has
+already imported: ``shlex``, ``sysconfig`` and the compiler toolchain
+(``shutil``, ``subprocess``, ``tempfile``) are imported only to build,
+and a compiler or a ``Python.h`` that is not there is found missing
+before anything is written. A build compiles into a temporary directory
+inside the cache and is renamed into place. When no compiler or header
+is found, the compiler fails, or an OSError, an ImportError, a missing
+home directory or a ``$CC`` that ``shlex`` cannot split stops the build
+or the load, there is no C kernel and every solve takes the Python twin.
 
 C checks its inputs, grows its own buffers and may raise: ValueError for
 any buffer or scalar that does not fit, before it reads a record, and
@@ -72,7 +72,9 @@ def _load_row_kernel():
         key = "\0".join((sys.platform, os.uname().machine, os.environ.get("CC", ""), *_CFLAGS))
         with open(source, "rb") as f:
             key = key.encode() + b"\0" + f.read()
-        cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(_home(), ".cache")
+        cache = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(cache):  # the XDG spec ignores a relative path
+            cache = os.path.join(_home(), ".cache")
         cache = os.path.join(cache, "qknap")
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
         name = f"rowkernel-{importlib.util.source_hash(key).hex()}{suffix}"

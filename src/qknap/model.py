@@ -10,17 +10,19 @@ their results as the frontier types defined here.
 No record here is built by ``dataclasses``, which a process would
 otherwise import (with ``inspect``, ``ast`` and ``dis``) on every
 request. ``Item``, ``Instance``, ``Label``, ``SolveStats`` and
-``FrontierResult`` are named tuples, whose fields cannot be assigned;
+``FrontierResult`` are named tuples with empty ``__slots__``: each
+holds its fields and nothing beside them, refuses to set or delete any
+attribute, and pickles and copies as its fields alone.
 ``SolveStats``'s fields are the ``# stats`` fields in order.
-``Instance`` validates however it is built. It alone keeps the
-dataclass protocol, ``dataclasses.replace`` included, through
-``__dataclass_fields__``, built on first read; ``_replace`` copies any
-of these records with new fields.
+``Instance`` validates however it is built, and reads ``by_id`` and
+``n`` off its items each time. It alone keeps the dataclass protocol,
+``dataclasses.replace`` included, through ``__dataclass_fields__``,
+built on first read; ``_replace`` copies any of these records with new
+fields.
 """
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cached_property
 from itertools import repeat
 
 __all__ = [
@@ -83,9 +85,11 @@ class Instance(namedtuple("Instance", "k capacity items")):
     and raises :class:`InvalidInstanceError` on any broken invariant, so
     solvers take an instance as it comes. Every other way to build one,
     ``dataclasses.replace``, ``_replace``, ``_make``, ``copy``,
-    ``pickle`` and ``copy.replace``, goes through that constructor.
+    ``pickle`` and ``copy.replace``, goes through that constructor, and
+    none carries anything but the three fields.
     """
 
+    __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
     # _replace and copy.replace build through _make, which would skip __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -94,8 +98,9 @@ class Instance(namedtuple("Instance", "k capacity items")):
         # the module-level name, which perfbench's tracer wraps
         return validate_instance(tuple.__new__(cls, (k, capacity, tuple(items))))
 
-    @cached_property
+    @property
     def by_id(self) -> dict[int, Item]:
+        """Each item by its id, built from ``items`` on every read."""
         return {item.id: item for item in self.items}
 
     @property
@@ -158,7 +163,7 @@ class FrontierResult(namedtuple("FrontierResult", "labels stats matrix", default
 def _integers(where: str, names: Iterable[str], values: Iterable) -> None:
     """Raise :class:`InvalidInstanceError` naming the first value that is not an ``int``."""
     for name, value in zip(names, values):
-        if not isinstance(value, int):
+        if type(value) is not int:  # a bool is an int, which the file format cannot hold
             raise InvalidInstanceError(f"{where}{name} must be an integer, got {value!r}")
 
 
@@ -170,7 +175,8 @@ def validate_instance(raw: Instance) -> Instance:
     naming the offending field and item id, or the position of an item
     that is not an :class:`Item`, whose fields solvers read by name.
     Every field is an ``int``, as in the file format: the DP's kernels
-    take no other number.
+    take no other number, and a ``bool``, which ``serialize_instance``
+    would write as ``True``, is refused too.
     """
     _integers("", ("k", "capacity"), raw)
     if raw.k < 1:
@@ -184,7 +190,7 @@ def validate_instance(raw: Instance) -> Instance:
         raise InvalidInstanceError(f"items[{i}] is not an Item: {raw.items[i]!r}")
     seen: set[int] = set()
     for ident, weight, level in raw.items:  # unpacked: a namedtuple field read is a call
-        if not (isinstance(ident, int) and isinstance(weight, int) and isinstance(level, int)):
+        if not (type(ident) is type(weight) is type(level) is int):
             _integers(f"item {ident!r}: ", Item._fields, (ident, weight, level))
         if ident < 1:
             raise InvalidInstanceError(f"item {ident}: id must be >= 1")

@@ -493,17 +493,19 @@ _PLAIN_EXIT = "import sys; from qknap.cli import main; sys.exit(main())"
     ],
 )
 def test_the_entry_exits_as_main_does(data_dir, argv, code):
+    # python -m qknap and python -m qknap.cli both exit through qknap.__main__.run
     argv = [str(data_dir / a) if a.endswith(".qknap") else a for a in argv]
-    entry, plain = (
+    plain, *entries = (
         subprocess.run([sys.executable, *how, *argv], capture_output=True, text=True)
-        for how in (["-m", "qknap"], ["-c", _PLAIN_EXIT])
+        for how in (["-c", _PLAIN_EXIT], ["-m", "qknap"], ["-m", "qknap.cli"])
     )
-    assert entry.returncode == code
-    assert (entry.returncode, drop_wall_time(entry.stdout), entry.stderr) == (
-        plain.returncode,
-        drop_wall_time(plain.stdout),
-        plain.stderr,
-    )
+    assert plain.returncode == code
+    for entry in entries:
+        assert (entry.returncode, drop_wall_time(entry.stdout), entry.stderr) == (
+            plain.returncode,
+            drop_wall_time(plain.stdout),
+            plain.stderr,
+        )
 
 
 def _drop_times(text: str) -> str:

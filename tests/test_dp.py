@@ -645,6 +645,27 @@ def test_kernel_cache_is_keyed_by_the_compiler(tmp_path, monkeypatch):
 
 
 @needs_cc
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    # The XDG Base Directory spec ignores a relative $XDG_CACHE_HOME: the build
+    # goes to ~/.cache/qknap, and nothing lands under the working directory.
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.chdir(cwd)
+    qknap.ckernel._load_row_kernel.cache_clear()
+    try:
+        kernel, reason = qknap.ckernel._load_row_kernel()
+        assert kernel is not None, reason
+        assert reason.startswith(f"compiled C row kernel {home}/.cache/qknap/"), reason
+        assert _files(cwd) == set()
+    finally:
+        # the next call loads the kernel again, in the restored environment
+        qknap.ckernel._load_row_kernel.cache_clear()
+
+
+@needs_cc
 def test_each_extension_suffix_gets_its_own_build(tmp_path, monkeypatch):
     # Interpreters that share a magic number, such as a debug and a release
     # build, load different extensions: each suffix names its own cache entry.

@@ -15,6 +15,7 @@ from qknap import (
     Instance,
     InvalidInstanceError,
     Item,
+    Valuation,
     enumerate_frontier,
     generate_instance,
     greedy_r,
@@ -97,6 +98,12 @@ def test_validate_rejects_nonpositive_id():
         (40, "weight", 2.0, "item 1: weight must be an integer, got 2.0"),
         (4, "weight", 2.0, "item 1: weight must be an integer, got 2.0"),
         (4, "level", "1", "item 1: level must be an integer, got '1'"),
+        # a bool is an int, and serialize_instance would write it as True
+        (4, "k", True, "k must be an integer, got True"),
+        (4, "capacity", True, "capacity must be an integer, got True"),
+        (4, "id", True, "item True: id must be an integer, got True"),
+        (4, "weight", True, "item 1: weight must be an integer, got True"),
+        (4, "level", True, "item 1: level must be an integer, got True"),
     ],
 )
 def test_validate_rejects_fields_that_are_not_integers(n, field, value, message):
@@ -160,14 +167,23 @@ assert isinstance(vars(Instance)["__dataclass_fields__"], dict)
 
 
 def test_records_refuse_assignment(table1):
-    result, oracle = solve(table1), enumerate_frontier(table1)
-    for record in (table1, table1.items[0], result.labels[0], result, result.stats, oracle.stats):
-        for name in record._fields:
+    # Each record holds its fields and nothing beside them: no name, field or
+    # not, can be set or deleted, and an Instance's by_id cannot be planted.
+    result, oracle, greedy = solve(table1), enumerate_frontier(table1), greedy_r(table1)
+    records = (table1, table1.items[0], result.labels[0], result, result.stats, oracle.stats, greedy)
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        for name in (*record._fields, "note"):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
                 delattr(record, name)
+    with pytest.raises(AttributeError):
+        Valuation([1, 2]).note = 0
+    with pytest.raises(AttributeError):
+        table1.by_id = {1: Item(1, 1, 4)}
     assert table1.capacity == 6 and result.labels[0].weight == 6
+    assert table1.by_id == {item.id: item for item in table1.items}
 
 
 def test_equal_instances_are_equal_and_hash_equal(table1, data_dir):
@@ -184,9 +200,9 @@ def test_equal_instances_are_equal_and_hash_equal(table1, data_dir):
 
 
 def test_instances_pickle(table1):
-    table1.by_id  # a built by_id travels in the pickle; the fields go through __new__
     clone = pickle.loads(pickle.dumps(table1))
     assert clone == table1 and clone.by_id == table1.by_id
+    assert not hasattr(clone, "__dict__")
 
 
 # A valid instance with one field set to a small int, which may break a bound:
