@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
     print(f"suffix_b={format_vector(suffix_sums(gb))}")
     if args.witness and not a_over_b:
         witness = falsification_witness(ga, gb, len(inst.items))
-        print(f"witness={format_vector(witness.values)}")
+        print(f"witness={format_vector(witness)}")
         print(f"witness_value_a={evaluate(witness, ga)}")
         print(f"witness_value_b={evaluate(witness, gb)}")
     return EXIT_OK

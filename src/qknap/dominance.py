@@ -8,12 +8,13 @@ makes it the right order for ordinal profits. When the test fails, an
 explicit valuation witnessing the failure can be constructed.
 
 All valuation arithmetic is exact (``fractions.Fraction``); no floats.
-A :class:`Valuation` is the tuple of its values, checked when built,
-so that ``check --witness`` and ``enumerate`` need no ``dataclasses``.
+A :class:`Valuation` is the tuple of its values, checked when built:
+``len(v)`` is its level count k.
 """
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import Label, RankVector, canonical_key
 
@@ -36,12 +37,7 @@ def _check_k(g1: Sequence[int], g2: Sequence[int]) -> None:
 
 def suffix_sums(g: RankVector) -> tuple[int, ...]:
     """sums[j] = number of items counted at level j+1 or better."""
-    out = [0] * len(g)
-    acc = 0
-    for j in range(len(g) - 1, -1, -1):
-        acc += g[j]
-        out[j] = acc
-    return tuple(out)
+    return tuple(accumulate(reversed(g)))[::-1]
 
 
 def weakly_dominates(g1: RankVector, g2: RankVector) -> bool:
@@ -74,8 +70,8 @@ def equivalent(g1: RankVector, g2: RankVector) -> bool:
 class Valuation(tuple):
     """Strictly increasing positive rational values, one per level.
 
-    A tuple of its ``Fraction`` values, checked on construction: it
-    equals the plain tuple of them and iterates over them.
+    The tuple of its ``Fraction`` values, checked on construction: it
+    equals the plain tuple of them, and its ``len`` is the level count.
     """
 
     __slots__ = ()
@@ -90,14 +86,6 @@ class Valuation(tuple):
             if hi <= lo:
                 raise ValueError(f"valuation values must strictly increase: {lo} !< {hi}")
         return vals
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(self)
-
-    @property
-    def k(self) -> int:
-        return len(self)
 
 
 def evaluate(v: Valuation, g: RankVector) -> Fraction:

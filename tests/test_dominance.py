@@ -73,13 +73,14 @@ def test_valuation_validation():
     with pytest.raises(ValueError, match="at least one level"):
         Valuation(())
     exact = Valuation((Fraction(1, 3), Fraction(2, 3)))
-    assert exact.values == (Fraction(1, 3), Fraction(2, 3))
-    # a valuation is the tuple of its values
+    assert exact == (Fraction(1, 3), Fraction(2, 3))
+    # a valuation is the tuple of its values, and its len is the level count
     v = Valuation((1, 2))
-    assert v == (Fraction(1), Fraction(2)) and len(v) == v.k == 2
+    assert v == (Fraction(1), Fraction(2)) and len(v) == 2
+    assert not hasattr(v, "values") and not hasattr(v, "k")
     for clone in (pickle.loads(pickle.dumps(exact)), copy.copy(exact), copy.deepcopy(exact)):
         assert type(clone) is Valuation and clone == exact
-    assert exact.k == 2
+    assert len(exact) == 2
 
 
 def test_witness_example_from_incomparable_pair():
@@ -139,6 +140,19 @@ def test_pareto_filter_idempotent_and_sound(vecs):
         )
     for lab in labels:  # everything removed is covered by something kept
         assert any(weakly_dominates(other.vector, lab.vector) for other in kept)
+
+
+@given(vectors())
+def test_suffix_sums_follow_their_definition(g):
+    assert suffix_sums(g) == tuple(sum(g[j:]) for j in range(len(g)))
+
+
+@given(st.data())
+def test_weak_dominance_follows_its_definition(data):
+    k = data.draw(st.integers(1, 5))
+    g1 = data.draw(vectors(k=k))
+    g2 = data.draw(vectors(k=k))
+    assert weakly_dominates(g1, g2) == all(sum(g1[j:]) >= sum(g2[j:]) for j in range(k))
 
 
 @given(vectors())
