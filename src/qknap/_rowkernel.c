@@ -2,17 +2,18 @@
  *
  * Built on first use by qknap.ckernel and loaded as the module
  * qknap._rowkernel; the pure-Python twin qknap.dp._sweep_py follows it
- * step for step. qknap.dp._lanes lays out a record's R words; the
- * qknap.dp docstring documents the row, its clamp t, the guard-bit
- * dominance test used below and why the witness words settle ties.
+ * step for step. qknap.dp._lanes lays out a record's R = ks + 1 words:
+ * the ks lane words, then the weight. The qknap.dp docstring documents
+ * the row, its clamp t, the guard-bit dominance test used below and why
+ * a label needs no more than its vector and weight.
  *
- * sweep(items, ts, R, ks, H, W, keep) takes the n item records as one
- * array("Q") of n * R words, the n rows' clamps t as one array("Q"), R
- * words a record, ks lane words, the guard mask H of a lane word, the
- * capacity W and a keep-rows flag. Starting from row 0, the zero label,
- * it merges one row per item and returns (rows, comparisons, max_cell):
- * rows is a list of bytes, every row from row 0 with keep, else the last
- * row alone. It refuses, with ValueError, any buffer or scalar that does
+ * sweep(items, ts, ks, H, W, keep) takes the n item records as one
+ * array("Q") of n * R words, the n rows' clamps t as one array("Q"), ks
+ * lane words a record, the guard mask H of a lane word, the capacity W
+ * and a keep-rows flag. Starting from row 0, the zero label, it merges
+ * one row per item and returns (rows, comparisons, max_cell): rows is a
+ * list of bytes, every row from row 0 with keep, else the last row
+ * alone. It refuses, with ValueError, any buffer or scalar that does
  * not fit before it reads a record, and grows its own buffers, with
  * MemoryError when it cannot.
  *
@@ -34,12 +35,11 @@ static uint64_t clamp(uint64_t w, uint64_t t) { return w > t ? w : t; }
  * weight, A first on a tie, and each is written into L_o at pos, the next
  * free record. F holds the record numbers, in L_o, of the kept labels that
  * no other kept label covers. Equal vectors cover by the lighter label,
- * then by the witness words that compare larger as unsigned integers,
- * word 0 first, which is the smaller sorted id tuple. A covered candidate
- * is dropped, pos stays, and its scan ends there. A kept one moves pos
- * past it and takes out of F what it covers; what it covers at its own
- * clamped weight it marks dead by a weight of W + 1, which no label has,
- * and the dead are removed at the end.
+ * and on equal weights by the one in F. A covered candidate is dropped,
+ * pos stays, and its scan ends there. A kept one moves pos past it and
+ * takes out of F what it covers; what it covers at its own clamped
+ * weight it marks dead by a weight of W + 1, which no label has, and the
+ * dead are removed at the end.
  *
  * Every index is a count of records that the row itself took up: at most
  * 2m records are written into L_o and at most 2m record numbers into F,
@@ -48,11 +48,11 @@ static uint64_t clamp(uint64_t w, uint64_t t) { return w > t ? w : t; }
  * change of clamped weight or at the end.
  */
 static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
-                  int64_t *F, int64_t *out, int64_t m, int64_t R,
-                  int64_t ks, uint64_t H, uint64_t t, uint64_t W)
+                  int64_t *F, int64_t *out, int64_t m, int64_t ks, uint64_t H,
+                  uint64_t t, uint64_t W)
 {
     uint64_t wt = item[ks], last = 0;
-    int64_t mb = m, nF = 0, pos = 0, comparisons = 0, max_cell = 0;
+    int64_t R = ks + 1, mb = m, nF = 0, pos = 0, comparisons = 0, max_cell = 0;
     size_t size = R * sizeof(uint64_t);
     while (mb > 0 && L[(mb - 1) * R + ks] + wt > W)
         mb--;
@@ -78,11 +78,8 @@ static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
                 ge_rc &= (((r[q] | H) - c[q]) & H) == H;
                 ge_cr &= (((c[q] | H) - r[q]) & H) == H;
             }
-            if (ge_rc && ge_cr) { /* equal vectors: the lighter, then the larger words */
-                int64_t q = ks + 1;
-                while (q < R - 1 && r[q] == c[q])
-                    q++;
-                ge_rc = r[ks] != c[ks] ? r[ks] < c[ks] : r[q] > c[q];
+            if (ge_rc && ge_cr) { /* equal vectors: the lighter, then the one in F */
+                ge_rc = r[ks] <= c[ks];
                 ge_cr = !ge_rc;
             }
             if (ge_rc) /* F is an antichain: a c that one r covers covers none of it */
@@ -165,23 +162,23 @@ static PyObject *sweep(PyObject *self, PyObject *args)
 {
     PyObject *items_o, *ts_o, *rows = NULL, *result = NULL;
     Py_buffer items = {0}, ts = {0};
-    uint64_t R, ks, H, W;
+    uint64_t ks, H, W, R;
     void *L = NULL, *L_o = NULL, *F = NULL, *swap;
     int64_t comparisons = 0, max_cell = 0, out[3];
     size_t m = 1, cap_L = 0, cap_o = 0, cap_F = 0, cap;
     int keep;
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO&O&O&O&p", &items_o, &ts_o, word, &R, word, &ks,
-                          word, &H, word, &W, &keep))
+    if (!PyArg_ParseTuple(args, "OOO&O&O&p", &items_o, &ts_o, word, &ks, word, &H, word, &W,
+                          &keep))
         return NULL;
-    /* The merge reads and writes through bare pointers: n records of R words
-     * in, the weight and, when there is a row to merge, at least one witness
-     * word after the ks lane words, weights that carry out of no word when
-     * added to one <= W, clamps t <= W, and W + 1 marks the dead. */
+    /* The merge reads and writes through bare pointers: n records in of
+     * R = ks + 1 words, at least one lane word and R not wrapped to 0,
+     * weights that carry out of no word when added to one <= W, clamps
+     * t <= W, and W + 1 marks the dead. */
     int fits = words(items_o, &items) == 0 && words(ts_o, &ts) == 0;
     size_t n = ts.len / 8, len = items.len / 8;
-    fits = fits && ks < R && (n == 0 || ks < R - 1) && len % R == 0 && len / R == n
-           && W < (uint64_t)1 << 63;
+    R = ks + 1;
+    fits = fits && ks != 0 && R != 0 && len % R == 0 && len / R == n && W < (uint64_t)1 << 63;
     const uint64_t *item = items.buf, *t = ts.buf;
     for (size_t i = 0; fits && i < n; i++)
         fits = 1 <= item[i * R + ks] && item[i * R + ks] < (uint64_t)1 << 63 && t[i] <= W;
@@ -197,7 +194,7 @@ static PyObject *sweep(PyObject *self, PyObject *args)
     for (size_t i = 0; i < n; i++) {
         if (reserve(&L_o, &cap_o, 2 * m * R) < 0 || reserve(&F, &cap_F, 2 * m) < 0)
             goto done;
-        merge(L, item + i * R, L_o, F, out, m, R, ks, H, t[i], W);
+        merge(L, item + i * R, L_o, F, out, m, ks, H, t[i], W);
         swap = L, L = L_o, L_o = swap;
         cap = cap_L, cap_L = cap_o, cap_o = cap;
         m = out[0];
@@ -222,7 +219,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"sweep", sweep, METH_VARARGS,
-     "sweep(items, ts, R, ks, H, W, keep) -> (rows, comparisons, max_cell)"},
+     "sweep(items, ts, ks, H, W, keep) -> (rows, comparisons, max_cell)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,14 +1,20 @@
 """Exact frontier computation by dynamic programming over label sets.
 
 The solver sweeps the items one by one. Row i of the DP is one list of
-labels reachable with the first i items swept: each label carries a rank
-cardinality vector in suffix-sum form, its weight and one witness
-subset. A label covers another if its vector is at least as large in
-every level and, for equal vectors, if it is the lighter, then the one
-with the lexicographically smaller id tuple. Cell (i, x), the frontier
-of budget x, is the row's labels of weight at most x that no such label
-covers. Reported cells never include the empty selection's all-zero
-label.
+labels reachable with the first i items swept: each label is a rank
+cardinality vector in suffix-sum form and a weight. A label covers
+another if its vector is at least as large in every level and, for
+equal vectors, if it is the lighter. Cell (i, x), the frontier of budget
+x, is the row's labels of weight at most x that no such label covers.
+Reported cells never include the empty selection's all-zero label.
+
+A label's witness follows from its counts c, as in the paper's
+level-major greedy: the lightest subsets with c_j items of each level j
+take the c_j lightest level-j items, and the lexicographically smallest
+id tuple among them breaks weight ties by id. So in cell (i, x) the
+label with counts c has as its witness the c_j lightest level-j items
+among the first i swept, ties by id, and two labels of equal vector and
+weight have one witness: the sweep keeps the first it meets.
 
 A solve reports cell (n, W) only, so it drops the items heavier than W
 and sweeps the rest heaviest first (a stable sort: equal weights keep
@@ -23,14 +29,12 @@ order; cell (i, x) is read from row i for every x <= W, where a label
 enters at its weight and leaves at the weight of the lightest label
 that covers it.
 
-A row is a run of uint64 words, one record of R words per label, laid
-out by ``_lanes`` and by it alone: the lane words, the weight, then the
-witness words.
-
-The lane words hold the k suffix sums, which make dominance a plain
-componentwise comparison. Each sum sits in a lane of its own, ``lane``
-bits wide, whose top bit, its guard, stays clear. With H the mask of a
-word's guard bits, a >= b holds in every lane of a word iff
+A row is a run of uint64 words, one record of R = ks + 1 words per
+label, laid out by ``_lanes`` and by it alone: the ks lane words, then
+the weight. The lane words hold the k suffix sums, which make dominance
+a plain componentwise comparison. Each sum sits in a lane of its own,
+``lane`` bits wide, whose top bit, its guard, stays clear. With H the
+mask of a word's guard bits, a >= b holds in every lane of a word iff
 
     ((a | H) - b) & H == H
 
@@ -39,20 +43,12 @@ negative: no borrow crosses into the next lane, and the guard survives
 exactly where a_j >= b_j. A dominance test is one subtract-and-mask per
 lane word, and equal vectors have equal words.
 
-The witness words hold a bit set over the items ranked by ascending id,
-the lowest rank in the top bit of word 0. Equal-vector, equal-weight
-witnesses have the same size, and the one with the smaller sorted id
-tuple holds the least id of their symmetric difference, so its words
-compare larger as unsigned integers, word 0 first. That settles every
-tie in O(n/64), whatever the order in which items are swept.
-
 Extending a label by an item adds the item's record, which ``solve``
 builds once per item: one in the low bit of each of the first level
-lanes, the item's weight, and its rank's witness bit. The add is word by
-word and carries out of no word: a lane sum stays at most n under its
-guard, a weight at most W < 2**63 plus the item's, also below 2**63,
-and the witness bit is clear in every label of the previous row,
-because each item is swept once. Extensions heavier than W are dropped.
+lanes, and the item's weight. The add is word by word and carries out
+of no word: a lane sum stays at most n under its guard, and a weight at
+most W < 2**63 plus the item's, also below 2**63. Extensions heavier
+than W are dropped.
 
 One sweep merges every row, in two implementations that give the same
 rows and counters: a C extension (``_rowkernel.c``, shipped beside this
@@ -64,17 +60,18 @@ had, take the twin. ``SolveStats.backend`` names the kernel that ran.
 C checks its inputs, grows its own buffers and may raise.
 
 ``solve`` builds the item records and the rows' t once, and the sweep
-takes them with R, ks, the guard mask H of a lane word, W and a
-keep-rows flag, and returns the rows as bytes (every row with the flag,
-else the last), the comparisons and max_cell. Each row is merged from
+takes them with ks, the guard mask H of a lane word, W and a keep-rows
+flag, and returns the rows as bytes (every row with the flag, else the
+last), the comparisons and max_cell. Each row is merged from
 the one before: the candidates are its records, A, and their
 extensions by the item, B, whose records heavier than W form a suffix
 of B and are dropped. Both runs are sorted by the next row's clamped
 weight, and the merge takes the candidates in that order, A first on a
 tie. Each candidate is compared with the prefix frontier F: the kept
-labels that no other kept label covers. A covered candidate is
-dropped, and its scan ends there: F is an antichain, so it covers none
-of F. A kept candidate joins F and takes out of it every label it
+labels that no other kept label covers. On equal vectors the lighter
+covers, and on equal weights the label already in F. A covered
+candidate is dropped, and its scan ends there: F is an antichain, so it
+covers none of F. A kept candidate joins F and takes out of it every label it
 covers; one at its own clamped weight is covered in every cell it
 would be in, so it is marked dead by a weight of W + 1, which no label
 has, and the dead leave the row after the merge. The comparisons count
@@ -91,7 +88,7 @@ frontier is empty, and ``solve`` checks that once, after the sweep.
 import math
 import time
 from array import array
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add, attrgetter, sub
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
@@ -146,22 +143,20 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         fit = [item for item in inst.items if item.weight <= W]
         items = sorted(fit, key=attrgetter("weight"), reverse=True)
     rem = sum(item.weight for item in items)
-    ids = sorted(item.id for item in inst.items)
-    rank = {iid: r for r, iid in enumerate(ids)}
-    ks, R, H, _, where = lanes = _lanes(k, n)
-    recs, ts = array("Q", [0]) * (len(items) * R), array("Q")  # what extending by each item adds
-    for o, item in zip(range(0, len(recs), R), items):
+    ks, H, _, where = lanes = _lanes(k, n)
+    recs, ts = array("Q", [0]) * (len(items) * (ks + 1)), array("Q")  # what extending by each adds
+    for o, item in zip(range(0, len(recs), ks + 1), items):
         rem -= item.weight
         # rem is now the weight of the items after this one: they lift any label below W - rem to W
         ts.append(0 if keep_matrix else max(0, W - rem))
         for q, shift in where[: item.level]:
             recs[o + q] += 1 << shift
-        r = rank[item.id]
-        recs[o + ks], recs[o + ks + 1 + r // 64] = item.weight, 1 << 63 - r % 64
-    rows, comparisons, max_cell = kernel(recs, ts, R, ks, H, W, keep_matrix)
-    matrix = tuple(_cells(r, W, lanes, ids) for r in rows) if keep_matrix else None
-    # without a matrix the last row, clamped at W, is cell (n, W)
-    labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(rows[-1], lanes, ids))
+        recs[o + ks] = item.weight
+    rows, comparisons, max_cell = kernel(recs, ts, ks, H, W, keep_matrix)
+    # row i holds the labels of the first i items swept; without a matrix the
+    # last row, clamped at W, is cell (n, W)
+    matrix = tuple(_cells(r, W, lanes, items[:i]) for i, r in enumerate(rows)) if keep_matrix else None
+    labels = matrix[-1][-1] if keep_matrix else _canonical(_labels(rows[-1], lanes, items))
     if not labels:  # the frontiers held only the zero label, which does not count
         max_cell = 0
     stats = SolveStats(cells, max_cell, comparisons, time.perf_counter() - t0, backend)
@@ -179,41 +174,39 @@ def _kernel(cells: int):
     return _sweep_py, "python"
 
 
-def _labels(row, lanes, ids: list[int]) -> list[tuple[int, Label]]:
+def _labels(row, lanes, items) -> list[tuple[int, Label]]:
     """The labels of a row's bytes in row order, zero label skipped: ``(lane words, Label)``.
 
     ``lanes`` is the record layout ``_lanes(k, n)``; the lane words come
-    as one integer, word q at bit 64q. ``ids`` lists the item ids in rank
-    order, which is ascending, so each witness comes out sorted.
+    as one integer, word q at bit 64q. ``items`` are the items swept into
+    the row, in any order. Each witness takes a prefix of each level's
+    items sorted by (weight, id), as ``qknap.dp`` describes.
     """
-    ks, R, _, mask, where = lanes
-    row, out = memoryview(row).cast("Q"), []
-    for i in range(0, len(row), R):
+    ks, _, mask, where = lanes
+    row, out, levels = memoryview(row).cast("Q"), [], [[] for _ in where]
+    for item in sorted(items, key=attrgetter("weight", "id")):
+        levels[item.level - 1].append(item.id)
+    for i in range(0, len(row), ks + 1):
         weight = row[i + ks]
         if weight == 0:
             continue
-        items = []
-        for q, word in enumerate(row[i + ks + 1 : i + R]):
-            while word:
-                top = word.bit_length() - 1
-                items.append(ids[64 * q + 63 - top])
-                word ^= 1 << top
         sums = [row[i + q] >> shift & mask for q, shift in where]
         sums.append(0)
-        lab = Label(tuple(map(sub, sums, sums[1:])), weight, tuple(items))
-        out.append((sum(row[i + q] << 64 * q for q in range(ks)), lab))
+        counts = tuple(map(sub, sums, sums[1:]))
+        witness = tuple(sorted(chain.from_iterable(lv[:c] for lv, c in zip(levels, counts))))
+        out.append((sum(row[i + q] << 64 * q for q in range(ks)), Label(counts, weight, witness)))
     return out
 
 
-def _cells(row, W: int, lanes, ids: list[int]) -> tuple[tuple[Label, ...], ...]:
+def _cells(row, W: int, lanes, items) -> tuple[tuple[Label, ...], ...]:
     """Reported cells 0..W of an unclamped row (t = 0), each in canonical order.
 
     The row is sorted by weight and holds one label per vector, so cell x
     is cell x - 1 plus the labels of weight x, less those they cover.
     """
-    HH = sum(lanes[2] << 64 * q for q in range(lanes[0]))
+    HH = sum(lanes[1] << 64 * q for q in range(lanes[0]))
     cells, front = [()], []  # only the zero label, never reported, weighs 0
-    for weight, new in groupby(_labels(row, lanes, ids), key=lambda p: p[1].weight):
+    for weight, new in groupby(_labels(row, lanes, items), key=lambda p: p[1].weight):
         for s, lab in new:
             front = [f for f in front if ((s | HH) - f[0]) & HH != HH] + [(s, lab)]
         cells += [cells[-1]] * (weight - len(cells)) + [_canonical(front)]
@@ -225,10 +218,10 @@ def _canonical(labels) -> tuple[Label, ...]:
     return tuple(sorted((lab for _, lab in labels), key=canonical_key))
 
 
-def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
-    """Layout of a label's record, for k levels and n items: ``(ks, R, H, mask, where)``.
+def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """Layout of a label's record, for k levels and n items: ``(ks, H, mask, where)``.
 
-    A record is R = ks + 1 + ceil(n/64) uint64 words:
+    A record is R = ks + 1 uint64 words:
 
     - words 0..ks-1, the lane words, hold the k suffix sums. Sum j sits
       in a lane of lane = n.bit_length() + 1 bits, lane j % per of word
@@ -237,9 +230,7 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
       never exceeds n, so the top bit of each lane, its guard, stays
       clear. H is a lane word's guard mask, mask one lane's, and where[j]
       the (word, shift) of sum j;
-    - word ks holds the weight;
-    - the witness words after it hold a bit set over the items ranked by
-      ascending id: rank r is bit 63 - r % 64 of word ks + 1 + r // 64.
+    - word ks holds the weight.
 
     ``solve`` encodes each item's record with this table and
     ``_labels`` decodes each reported label with it.
@@ -249,10 +240,10 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, int, list[tuple[int, int]]]:
     ks = -(-k // per)
     H = sum(1 << (i * lane + lane - 1) for i in range(per))
     where = [(j // per, j % per * lane) for j in range(k)]
-    return ks, ks + 1 + -(-n // 64), H, (1 << lane) - 1, where
+    return ks, H, (1 << lane) - 1, where
 
 
-def _sweep_py(items, ts, R, ks, H, W, keep):
+def _sweep_py(items, ts, ks, H, W, keep):
     """Pure-Python twin of the C sweep (``_rowkernel.c``), with its arguments and results.
 
     A label is its ks lane words as one integer, word q at bit 64q, and
@@ -260,7 +251,7 @@ def _sweep_py(items, ts, R, ks, H, W, keep):
     bits of every word in ``HH``: no borrow crosses a lane, so the test
     holds across words as it does within one, and extending adds ``INC``.
     """
-    HH = sum(H << 64 * q for q in range(ks))
+    R, HH = ks + 1, sum(H << 64 * q for q in range(ks))
     flat = lambda row: array("Q", [v for _, c in row for v in c]).tobytes()
     row, rows, comparisons, max_cell = [(0, [0] * R)], [], 0, 0  # row 0: the zero label
     for o, t in zip(range(0, len(items), R), ts):
@@ -278,8 +269,8 @@ def _sweep_py(items, ts, R, ks, H, W, keep):
             for f in F:
                 comparisons += 1
                 sf, r = f
-                if sf == s:  # equal vectors: the lighter, then the larger witness words
-                    if r[ks] < c[ks] or (r[ks] == c[ks] and r[ks + 1 :] > c[ks + 1 :]):
+                if sf == s:  # equal vectors: the lighter, then the one in F
+                    if r[ks] <= c[ks]:
                         break
                 elif ((sf | HH) - s) & HH == HH:
                     break  # F is an antichain: a c that one f covers covers none of it

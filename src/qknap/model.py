@@ -113,7 +113,8 @@ class Label(namedtuple("Label", "vector weight items")):
 
     ``items`` is the ascending tuple of item ids of the witness. Several
     subsets may share a vector; solvers report the one with minimal
-    weight, ties broken by lexicographically smallest id tuple.
+    weight, ties broken by lexicographically smallest id tuple: for each
+    level j, its c_j lightest items, ties by id.
     """
 
     __slots__ = ()
@@ -130,7 +131,8 @@ class SolveStats(
     two implementations of the DP row kernel, ``"oracle"`` for
     brute-force enumeration, which counts no comparisons. Given the same
     input and backend, only wall_time varies between runs; both kernels
-    give the same counters. ``wall_time`` times the solve alone: its
+    give the same counters, and the item ids, which only name the items,
+    change none of them. ``wall_time`` times the solve alone: its
     clock starts once the DP's row kernel is loaded, or built and
     cached, so neither the load nor the build is in it. Each row is one
     list of labels, and ``comparisons`` counts the candidate x frontier

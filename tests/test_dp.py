@@ -256,7 +256,7 @@ _SHUFFLED_ID_SHAPES = [
     (GeneratorParams(n=40, k=2, weight_max=1, seed=10, capacity=12), 3),  # all ties
     (GeneratorParams(n=24, k=4, weight_max=3, seed=11, capacity=30), 4),
     (GeneratorParams(n=30, k=1, weight_max=2, seed=15, capacity=25), 5),
-    (GeneratorParams(n=130, k=8, weight_max=2, seed=16, capacity=30), 6),  # 2 lane, 3 witness words
+    (GeneratorParams(n=130, k=8, weight_max=2, seed=16, capacity=30), 6),  # 2 lane words
 ]
 
 
@@ -268,6 +268,29 @@ def _path_instance(shape):
     ids = [item.id for item in inst.items]
     random.Random(seed).shuffle(ids)
     return replace(inst, items=tuple(item._replace(id=i) for item, i in zip(inst.items, ids)))
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["solve", "matrix"])
+@pytest.mark.parametrize(
+    "min_cells, backend",
+    [
+        pytest.param(0, "c-kernel", marks=needs_cc, id="c-kernel"),
+        pytest.param(10**12, "python", id="python"),
+    ],
+)
+@pytest.mark.parametrize("shape", _SHUFFLED_ID_SHAPES)
+def test_ids_only_name_the_items(shape, min_cells, backend, keep, monkeypatch):
+    # A witness breaks weight ties by id, but which vectors and weights a cell
+    # holds, and the work the sweep does to find them, do not depend on the ids.
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", min_cells)
+    in_order, shuffled = (solve(_path_instance(s), keep_matrix=keep) for s in (shape[0], shape))
+    assert in_order.stats.backend == shuffled.stats.backend == backend
+    assert in_order.stats[:3] == shuffled.stats[:3]  # cells, max_cell, comparisons
+    strip = lambda labels: [(lab.vector, lab.weight) for lab in labels]
+    assert strip(in_order.labels) == strip(shuffled.labels)
+    if keep:
+        cells = lambda res: [[strip(cell) for cell in row] for row in res.matrix]
+        assert cells(in_order) == cells(shuffled)
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
@@ -348,25 +371,22 @@ def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
     want = solve(inst, keep_matrix=True).labels  # input order, every column
     sweeps = _check_rows(kernel, monkeypatch)
     assert solve(inst).labels == want
-    ids = sorted(item.id for item in inst.items)
-    [((items, ts, R, ks, _, W_arg, keep), rows)] = sweeps
+    [((items, ts, ks, _, W_arg, keep), rows)] = sweeps
     assert (len(rows), W_arg, keep) == (len(order) + 1, W, False)
+    lanes = qknap.dp._lanes(inst.k, len(inst.items))
+    R, mask, where = ks + 1, lanes[2], lanes[3]
     for i, L in enumerate(rows[1:], start=1):
-        # the item record's witness word holds the item's rank among the ids
-        rec, t = items[(i - 1) * R : i * R], ts[i - 1]
-        (q, word), = [(q, w) for q, w in enumerate(rec[ks + 1 :]) if w]
-        assert (ids[64 * q + 63 - (word.bit_length() - 1)], rec[ks]) == (
-            order[i - 1].id,
-            order[i - 1].weight,
-        )
+        # the item record holds a one in each of its first `level` lanes, then its weight
+        rec, t, item = items[(i - 1) * R : i * R], ts[i - 1], order[i - 1]
+        sums = [rec[q] >> shift & mask for q, shift in where]
+        assert (sums, rec[ks]) == ([1] * item.level + [0] * (inst.k - item.level), item.weight)
         # row i clamps at W - (weight of the items still to come), is sorted by
         # clamped weight and holds no label heavier than W
         assert t == max(0, W - sum(item.weight for item in order[i:])), f"item {i}"
         clamped = [max(weight, t) for weight in memoryview(L).cast("Q")[ks::R]]
         assert clamped == sorted(clamped) and clamped[-1] <= W, f"item {i}"
     # the last row, clamped at W, holds the frontier, plus the zero label when it is empty
-    lanes = qknap.dp._lanes(inst.k, len(inst.items))
-    assert qknap.dp._canonical(qknap.dp._labels(rows[-1], lanes, ids)) == want
+    assert qknap.dp._canonical(qknap.dp._labels(rows[-1], lanes, fit)) == want
     assert len(rows[-1]) // (8 * R) == max(1, len(want))
 
 
@@ -411,15 +431,13 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 def _kernel_args():
     """Arguments that fit: the sweep of a solve with k=2, n=3, W=3 over items 1 and 2.
 
-    Lanes of 3 bits, 21 to a word: a record of one lane word, the weight
-    and one witness word. Item 1 (weight 1, level 1, rank 0) adds 1 to
-    lane 0, its weight and bit 63 of the witness word; item 2 (weight 2,
-    level 2, rank 1) adds 1 to lanes 0 and 1, its weight and bit 62.
+    Lanes of 3 bits, 21 to a word: a record of one lane word and the
+    weight. Item 1 (weight 1, level 1) adds 1 to lane 0 and its weight;
+    item 2 (weight 2, level 2) adds 1 to lanes 0 and 1 and its weight.
     """
     return dict(
-        items=array("Q", [1, 1, 1 << 63, 0o11, 2, 1 << 62]),
+        items=array("Q", [1, 1, 0o11, 2]),
         ts=array("Q", [0, 0]),
-        R=3,
         ks=1,
         H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
         W=3,
@@ -438,20 +456,22 @@ def _sweep(kernel, **args):
     [
         dict(ts=array("Q", [0, 0, 0])),
         dict(ts=array("Q", [0])),
-        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 2, 1 << 62]).tobytes()),
+        dict(items=array("Q", [1, 1, 0o11, 2]).tobytes()),
         dict(ts=array("q", [0, 0])),
-        dict(items=array("Q", [1, 2**64 - 1, 1 << 63, 0o11, 2, 1 << 62])),  # it carries out
-        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 0, 1 << 62])),  # no item weighs 0
-        dict(ks=3),
-        dict(ks=2),  # C compares witness words past the weight on a tie
-        dict(items=array("q", [1, 1, -(1 << 63), 0o11, 2, 1 << 62])),
-        dict(items=array("Q", [1, 1, 1 << 63, 0o11, 2])),
+        dict(items=array("Q", [1, 2**64 - 1, 0o11, 2])),  # it carries out
+        dict(items=array("Q", [1, 1, 0o11, 0])),  # no item weighs 0
+        dict(ks=3),  # one record of 4 words for two items
+        dict(ks=2),  # 4 words are no whole number of 3-word records
+        dict(ks=0, items=array("Q", [1, 2])),  # records of the weight alone, one an item
+        dict(ks=2**64 - 1),  # ks + 1 wraps to a record of 0 words
+        dict(items=array("q", [1, 1, 0o11, 2])),
+        dict(items=array("Q", [1, 1, 0o11])),
         dict(ts=array("Q", [4, 0])),
         dict(ts=array("Q", [0, 4])),
         dict(ts=array("q", [-1, 0])),
         dict(W=2**63, ts=array("Q", [0, 0])),  # W + 1 marks the dead
         dict(W=2**64),
-        dict(R=-1),
+        dict(ks=-1),
     ],
     ids=[
         "ts-longer-than-the-items",
@@ -460,8 +480,10 @@ def _sweep(kernel, **args):
         "signed-ts",
         "weight-beyond-int64",
         "weight-zero",
-        "ks-beyond-the-item",
-        "item-without-witness-words",
+        "record-of-both-items",
+        "record-straddles-the-items",
+        "ks-zero",
+        "record-wraps-to-zero-words",
         "signed-item",
         "item-one-word-short",
         "clamp-beyond-W",
@@ -469,7 +491,7 @@ def _sweep(kernel, **args):
         "clamp-below-zero",
         "W-beyond-int64",
         "W-beyond-uint64",
-        "R-below-zero",
+        "ks-below-zero",
     ],
 )
 def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
@@ -477,8 +499,7 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # refused before it touches them
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
-    zero, one, one_two = [0, 0, 0], [1, 1, 1 << 63], [0o11, 2, 1 << 62]
-    both = [0o12, 3, 3 << 62]
+    zero, one, one_two, both = [0, 0], [1, 1], [0o11, 2], [0o12, 3]
     for each in (kernel, qknap.dp._sweep_py):
         # unclamped, every row keeps the zero label for cell 0; item 1 covers it,
         # then item 2 alone covers item 1 and both cover item 2
@@ -486,8 +507,8 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
         assert _sweep(each, keep=False) == ([zero + one + one_two + both], 4, 1)
         # the last row clamped at 3: all four weigh 3, so both items cover the rest where they stand
         assert _sweep(each, ts=array("Q", [0, 3])) == ([zero, zero + one, both], 4, 1)
-        # no items, so no witness words: row 0 alone
-        assert _sweep(each, items=array("Q"), ts=array("Q"), R=2) == ([[0, 0]], 0, 0)
+        # no items: row 0 alone, a record of ks + 1 words
+        assert _sweep(each, items=array("Q"), ts=array("Q"), ks=2) == ([[0, 0, 0]], 0, 0)
     with pytest.raises(ValueError, match="do not fit"):
         _sweep(kernel, **bad)
 
@@ -507,7 +528,7 @@ def test_c_rows_outgrow_their_first_buffers():
     [(*args, keep)] = sweeps
     got = kernel(*args, True)
     assert got == twin(*args, True)
-    assert max(map(len, got[0])) // (8 * args[2]) > 900
+    assert max(map(len, got[0])) // (8 * (args[2] + 1)) > 900  # a record is ks + 1 words
     assert got[1:] == (want.stats.comparisons, want.stats.max_cell)
 
 
