@@ -18,42 +18,19 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _SOURCE = {
-    "Valuation": "dominance",
-    "dominates": "dominance",
-    "equivalent": "dominance",
-    "evaluate": "dominance",
-    "falsification_witness": "dominance",
-    "pareto_filter": "dominance",
-    "suffix_sums": "dominance",
-    "weakly_dominates": "dominance",
-    "label_bound": "dp",
-    "solve": "dp",
-    "Guarantee": "greedy",
-    "GreedyResult": "greedy",
-    "greedy_r": "greedy",
-    "greedy_w": "greedy",
-    "r_lex_order": "greedy",
-    "w_lex_order": "greedy",
-    "GeneratorParams": "instance_io",
-    "ParseError": "instance_io",
-    "SplitMix64": "instance_io",
-    "generate_instance": "instance_io",
-    "parse_instance": "instance_io",
-    "read_instance": "instance_io",
-    "serialize_frontier": "instance_io",
-    "serialize_instance": "instance_io",
-    "FrontierResult": "model",
-    "Instance": "model",
-    "InvalidInstanceError": "model",
-    "Item": "model",
-    "Label": "model",
-    "SolveStats": "model",
-    "rank_cardinality_vector": "model",
-    "total_weight": "model",
-    "validate_instance": "model",
-    "OracleGuardError": "oracle",
-    "enumerate_feasible": "oracle",
-    "enumerate_frontier": "oracle",
+    name: module
+    for module, names in (
+        ("dominance", "Valuation dominates equivalent evaluate falsification_witness pareto_filter "
+         "suffix_sums weakly_dominates"),
+        ("dp", "label_bound solve"),
+        ("generator", "GeneratorParams SplitMix64 generate_instance serialize_instance"),
+        ("greedy", "Guarantee GreedyResult greedy_r greedy_w r_lex_order w_lex_order"),
+        ("instance_io", "ParseError parse_instance read_instance serialize_frontier"),
+        ("model", "FrontierResult Instance InvalidInstanceError Item Label SolveStats "
+         "rank_cardinality_vector total_weight validate_instance"),
+        ("oracle", "OracleGuardError enumerate_feasible enumerate_frontier"),
+    )
+    for name in names.split()
 }
 
 __all__ = sorted(_SOURCE)

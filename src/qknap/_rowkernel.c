@@ -1,8 +1,8 @@
 /* The label-set dynamic program's sweep (qknap.dp), as a CPython extension.
  *
- * Built on first use by qknap.ckernel and loaded as the module
- * qknap._rowkernel; the pure-Python twin qknap.dp._sweep_py follows it
- * step for step. qknap.dp._lanes lays out a record's R = ks + 1 words:
+ * Built on first use by qknap.ckbuild and loaded by qknap.ckernel as the
+ * module qknap._rowkernel; the pure-Python twin qknap.twin.sweep follows
+ * it step for step. qknap.dp._lanes lays out a record's R = ks + 1 words:
  * the ks lane words, then the weight. The qknap.dp docstring documents
  * the row, its clamp t, the guard-bit dominance test used below and why
  * a label needs no more than its vector and weight.

@@ -1,28 +1,27 @@
-"""Building and loading the C sweep, the extension module ``_rowkernel.c``.
+"""Loading the C sweep, the extension module ``_rowkernel.c``, and building it on a miss.
 
 ``qknap.dp.solve`` imports this module only for a solve of at least
 ``dp._KERNEL_MIN_CELLS`` cells, so smaller solves never pay for it. The
-extension's ``sweep`` merges every DP row exactly as ``dp._sweep_py``,
-its pure-Python twin, does; ``qknap.dp`` describes the row and the
+extension's ``sweep`` merges every DP row exactly as its pure-Python
+twin, ``qknap.twin.sweep``, does; ``qknap.dp`` describes the row and the
 merge.
 
-The first load compiles the extension with ``$CC`` (else ``cc``) and the
-interpreter's headers into ``$XDG_CACHE_HOME/qknap`` (else, or when that
-path is not absolute, ``~/.cache/qknap``), under a name keyed by the
-source, the platform, the ``$CC`` text and the flags, and ending in the
-interpreter's first extension suffix, and loads it as the module
+The extension is built with ``$CC`` (else ``cc``) and the interpreter's
+headers into ``$XDG_CACHE_HOME/qknap`` (else, or when that path is not
+absolute, ``~/.cache/qknap``), under a name keyed by the source, the
+platform, the ``$CC`` text and the flags, and ending in the
+interpreter's first extension suffix, and loaded as the module
 ``qknap._rowkernel``. The key's hash is ``importlib.util.source_hash``,
 which is keyed by the interpreter's magic number, so each Python version
-builds its own copy. Later processes load the cached file with
+builds its own copy. A process that finds the build cached loads it with
 ``importlib.machinery`` and ``importlib.util``, which ``python -m`` has
-already imported: ``shlex``, ``sysconfig`` and the compiler toolchain
-(``shutil``, ``subprocess``, ``tempfile``) are imported only to build,
-and a compiler or a ``Python.h`` that is not there is found missing
-before anything is written. A build compiles into a temporary directory
-inside the cache and is renamed into place. When no compiler or header
-is found, the compiler fails, or an OSError, an ImportError, a missing
-home directory or a ``$CC`` that ``shlex`` cannot split stops the build
-or the load, there is no C kernel and every solve takes the Python twin.
+already imported. Only a miss imports ``qknap.ckbuild``, which holds the
+build: the compiler toolchain, its checks, the compile into a temporary
+directory inside the cache and the rename into place. When no compiler
+or header is found, the compiler fails, or an OSError, an ImportError, a
+missing home directory or a ``$CC`` that ``shlex`` cannot split stops
+the build or the load, there is no C kernel and every solve takes the
+Python twin.
 
 C checks its inputs, grows its own buffers and may raise: ValueError for
 any buffer or scalar that does not fit, before it reads a record, and
@@ -38,13 +37,6 @@ import sys
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
-def _compiler() -> list[str]:
-    """The command that builds the kernel: ``$CC``, else ``cc``."""
-    import shlex
-
-    return shlex.split(os.environ.get("CC", "")) or ["cc"]
-
-
 def _home() -> str:
     """The user's home directory; RuntimeError when there is none to be found."""
     home = os.path.expanduser("~")
@@ -58,12 +50,12 @@ def _load_row_kernel():
     """``(sweep, reason)``: the C sweep, compiled on first use.
 
     ``sweep`` is None when it cannot be had, and every solve then runs
-    ``dp._sweep_py``; ``reason`` names the extension that loaded, or why
-    none did: no compiler or no ``Python.h`` found, the compiler failed
-    (with the tail of its stderr), or ``no C row kernel: ...`` with the
-    OSError or ImportError met on the way, the RuntimeError of a home
-    directory that cannot be found, or the ValueError of a ``$CC`` that
-    ``shlex`` cannot split. ``_load_row_kernel.cache_clear()`` makes the
+    the twin, ``qknap.twin.sweep``; ``reason`` names the extension that
+    loaded, or why none did: no compiler or no ``Python.h`` found, the
+    compiler failed (with the tail of its stderr), or ``no C row kernel:
+    ...`` with the OSError or ImportError met on the way, the RuntimeError
+    of a home directory that cannot be found, or the ValueError of a
+    ``$CC`` that ``shlex`` cannot split. ``_load_row_kernel.cache_clear()`` makes the
     next call try again.
     """
     source = os.path.join(os.path.dirname(__file__), "_rowkernel.c")
@@ -75,33 +67,14 @@ def _load_row_kernel():
         cache = os.environ.get("XDG_CACHE_HOME", "")
         if not os.path.isabs(cache):  # the XDG spec ignores a relative path
             cache = os.path.join(_home(), ".cache")
-        cache = os.path.join(cache, "qknap")
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        name = f"rowkernel-{importlib.util.source_hash(key).hex()}{suffix}"
-        lib = os.path.join(cache, name)
+        lib = os.path.join(cache, "qknap", f"rowkernel-{importlib.util.source_hash(key).hex()}{suffix}")
         if not os.path.exists(lib):
-            import shlex
-            import shutil
-            import sysconfig
+            from .ckbuild import build
 
-            cc = _compiler()
-            if shutil.which(cc[0]) is None:
-                return None, f"no C compiler {shlex.join(cc)} to build {name}"
-            include = sysconfig.get_paths()["include"]
-            if not os.path.exists(os.path.join(include, "Python.h")):
-                return None, f"no Python.h in {include} to build {name}"
-            import subprocess
-            import tempfile
-
-            os.makedirs(cache, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                built = os.path.join(tmp, name)
-                argv = [*cc, *_CFLAGS, f"-I{include}", "-o", built, source]
-                run = subprocess.run(argv, capture_output=True, text=True)
-                if run.returncode != 0:
-                    err = run.stderr.strip()[-400:]
-                    return None, f"{shlex.join(cc)} failed (exit {run.returncode}): {err}"
-                os.replace(built, lib)  # atomic on one filesystem: none loads a half-written file
+            failed = build(source, lib)
+            if failed:
+                return None, failed
         loader = importlib.machinery.ExtensionFileLoader("qknap._rowkernel", lib)
         spec = importlib.util.spec_from_file_location(loader.name, lib, loader=loader)
         sweep = importlib.util.module_from_spec(spec).sweep

@@ -20,8 +20,9 @@ itself, and hands every other argv, help and usage errors included, to
 only then. ``qknap.commands`` also holds the other subcommands, so a
 served request neither compiles them nor imports argparse. Each
 subcommand imports the modules it needs when it runs, so that a
-``solve`` process loads only cli, instance_io, model and dp. No qknap
-module imports ``dataclasses`` or ``typing``.
+``solve`` process loads only cli, instance_io, model and dp, and
+ckernel or twin for the sweep it runs. No qknap module imports
+``dataclasses`` or ``typing``.
 
 ``main`` returns the exit code and leaves the process as it found it.
 The program entry is ``qknap.__main__.run``, which ``python -m qknap``,

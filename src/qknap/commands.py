@@ -17,16 +17,8 @@ import argparse
 import sys
 
 from .cli import EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK, _cmd_greedy, _cmd_solve, _fail
-from .instance_io import (
-    GeneratorParams,
-    format_vector,
-    frontier_json,
-    generate_instance,
-    parse_int,
-    read_instance,
-    serialize_frontier,
-    serialize_instance,
-)
+from .generator import GeneratorParams, generate_instance, serialize_instance
+from .instance_io import format_vector, frontier_json, parse_int, read_instance, serialize_frontier
 from .model import rank_cardinality_vector, total_weight
 
 TYPE_CHECKING = False

@@ -52,12 +52,14 @@ than W are dropped.
 
 One sweep merges every row, in two implementations that give the same
 rows and counters: a C extension (``_rowkernel.c``, shipped beside this
-module) and its pure-Python twin ``_sweep_py``, which follows it step
-for step. A solve of at least ``_KERNEL_MIN_CELLS`` cells imports
-``qknap.ckernel``, which builds the extension on first use, caches the
-build and loads it; smaller solves, and every solve when it cannot be
-had, take the twin. ``SolveStats.backend`` names the kernel that ran.
-C checks its inputs, grows its own buffers and may raise.
+module) and its pure-Python twin ``qknap.twin.sweep``, which follows it
+step for step. A solve of at least ``_KERNEL_MIN_CELLS`` cells imports
+``qknap.ckernel``, which loads the cached extension and imports
+``qknap.ckbuild`` to build it only when no build is cached; smaller
+solves, and every solve when it cannot be had, import ``qknap.twin``
+and take the twin. So each solve compiles only the sweep it runs.
+``SolveStats.backend`` names the kernel that ran. C checks its inputs,
+grows its own buffers and may raise.
 
 ``solve`` builds the item records and the rows' t once, and the sweep
 takes them with ks, the guard mask H of a lane word, W and a keep-rows
@@ -89,7 +91,7 @@ import math
 import time
 from array import array
 from itertools import chain, groupby
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 
 from .model import FrontierResult, Instance, Label, SolveStats, canonical_key
 
@@ -99,7 +101,7 @@ __all__ = ["label_bound", "solve"]
 # 2,440-cell instance (n=40, k=3, wmax=9, W=60) the Python twin takes
 # 1.5 us per cell and C 0.13 us (in-process, best of 20); in a new process
 # that finds no bytecode, importing qknap.ckernel and loading the cached
-# extension takes 1.6-1.8 ms, and a build, cached for later processes,
+# extension takes about 0.8 ms, and a build, cached for later processes,
 # 0.29 s (2-CPU sandbox, gcc 12.2, Python 3.11.7). The threshold keeps small
 # solves, such as a 44-cell cold start or the benchmark's 364-658-cell batch
 # instances, on the twin, so they never start the compiler; the 2,440-cell
@@ -171,7 +173,9 @@ def _kernel(cells: int):
         kernel = _load_row_kernel()[0]
         if kernel is not None:
             return kernel, "c-kernel"
-    return _sweep_py, "python"
+    from .twin import sweep
+
+    return sweep, "python"
 
 
 def _labels(row, lanes, items) -> list[tuple[int, Label]]:
@@ -242,46 +246,3 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
     where = [(j // per, j % per * lane) for j in range(k)]
     return ks, H, (1 << lane) - 1, where
 
-
-def _sweep_py(items, ts, ks, H, W, keep):
-    """Pure-Python twin of the C sweep (``_rowkernel.c``), with its arguments and results.
-
-    A label is its ks lane words as one integer, word q at bit 64q, and
-    its record's words. Dominance is tested on the integer with the guard
-    bits of every word in ``HH``: no borrow crosses a lane, so the test
-    holds across words as it does within one, and extending adds ``INC``.
-    """
-    R, HH = ks + 1, sum(H << 64 * q for q in range(ks))
-    flat = lambda row: array("Q", [v for _, c in row for v in c]).tobytes()
-    row, rows, comparisons, max_cell = [(0, [0] * R)], [], 0, 0  # row 0: the zero label
-    for o, t in zip(range(0, len(items), R), ts):
-        if keep:  # copied now: the merge marks the dead in place
-            rows.append(flat(row))
-        item = items[o : o + R].tolist()
-        wt, INC = item[ks], sum(v << 64 * q for q, v in enumerate(item[:ks]))
-        B = [(s + INC, list(map(add, a, item))) for s, a in row if a[ks] + wt <= W]
-        kept, F, last = [], [], 0
-        for s, c in sorted(row + B, key=lambda cand: max(cand[1][ks], t)):  # stable: A first on a tie
-            w = max(c[ks], t)
-            if w != last:
-                max_cell, last = max(max_cell, len(F)), w
-            rest = []
-            for f in F:
-                comparisons += 1
-                sf, r = f
-                if sf == s:  # equal vectors: the lighter, then the one in F
-                    if r[ks] <= c[ks]:
-                        break
-                elif ((sf | HH) - s) & HH == HH:
-                    break  # F is an antichain: a c that one f covers covers none of it
-                elif ((s | HH) - sf) & HH != HH:
-                    rest.append(f)
-                    continue
-                if max(r[ks], t) == w:
-                    r[ks] = W + 1  # dead: covered at its own clamped weight, and no label weighs W + 1
-            else:
-                F = rest + [(s, c)]
-                kept.append(F[-1])
-        max_cell = max(max_cell, len(F))
-        row = [(s, c) for s, c in kept if c[ks] <= W]  # the dead leave
-    return [*rows, flat(row)], comparisons, max_cell

@@ -10,14 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-import qknap.ckernel
+import qknap.ckbuild
 from qknap import Instance, Item, Valuation
 
 
 def compiler_found() -> bool:
     """Whether ``$CC`` (else ``cc``) names a program; a ``$CC`` shlex cannot split names none."""
     try:
-        return shutil.which(qknap.ckernel._compiler()[0]) is not None
+        return shutil.which(qknap.ckbuild._compiler()[0]) is not None
     except ValueError:
         return False
 

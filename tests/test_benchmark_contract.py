@@ -11,16 +11,18 @@ fails here rather than only in a benchmark run.
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qknap.cli  # a Tracer wraps the layers it finds loaded: these five
 import qknap.dp
+import qknap.generator
 import qknap.greedy
 import qknap.instance_io
 import qknap.model
-from qknap import GeneratorParams, generate_instance
+from qknap import GeneratorParams, generate_instance, parse_instance, serialize_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +55,25 @@ def test_every_workload_kind_answers_correctly_with_its_stored_digest(perfbench,
             _, code, stdout = tracing.call_main(run.request_argv(kind, it.path)[3:])
             assert code == 0, (wl.name, kind)
             assert check.check_answer(ref, kind, stdout) == [], (wl.name, kind)
+
+
+def test_the_benchmark_generates_its_instances_through_instance_io(perfbench, tmp_path):
+    # run.py imports the generator from qknap.instance_io, which forwards
+    # exactly its four names to qknap.generator
+    run, _, _ = perfbench
+    for name in ("GeneratorParams", "SplitMix64", "generate_instance", "serialize_instance"):
+        assert getattr(qknap.instance_io, name) is getattr(qknap.generator, name)
+    with pytest.raises(AttributeError, match="module 'qknap.instance_io' has no attribute 'parse_int_'"):
+        qknap.instance_io.parse_int_
+    wl = run.WORKLOADS["batch"]
+    made = run.make_instances(wl, run.DEFAULT_SEED, tmp_path)
+    assert len(made) == wl.instances
+    seed = run.instance_seed(wl.name, run.DEFAULT_SEED, 0)
+    first = generate_instance(GeneratorParams(seed=seed, **wl.shape))
+    assert made[0].inst == first
+    assert made[0].path.read_text() == serialize_instance(first)
+    cold = run.small_instance(tmp_path, "cold", n=4, k=3, weight_max=9, ratio=Fraction(1, 2))
+    assert parse_instance(cold.path.read_text()) == cold.inst
 
 
 def test_the_checker_self_test_accepts_only_the_clean_answer(perfbench):

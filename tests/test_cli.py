@@ -18,7 +18,7 @@ import qknap.dp
 from helpers import drop_wall_time, needs_cc, run_cli
 from qknap.cli import _served, main
 from qknap.commands import _build_parser
-from qknap.instance_io import GeneratorParams, generate_instance
+from qknap.generator import GeneratorParams, generate_instance
 
 
 def test_solve_table1_text(data_dir):

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qknap.ckbuild
 import qknap.ckernel
 import qknap.dp
+import qknap.twin
 from helpers import compiler_found, instances, needs_cc
 from qknap import (
     GeneratorParams,
@@ -313,7 +315,7 @@ def _check_rows(kernel, monkeypatch):
 
     Returns the list each later solve appends its ``(args, every row)`` to.
     """
-    twin, sweeps = qknap.dp._sweep_py, []
+    twin, sweeps = qknap.twin.sweep, []
 
     def both(*args):
         rows = kernel(*args[:-1], True)  # the keep-rows flag
@@ -324,7 +326,7 @@ def _check_rows(kernel, monkeypatch):
         return got
 
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
-    monkeypatch.setattr(qknap.dp, "_sweep_py", both)
+    monkeypatch.setattr(qknap.twin, "sweep", both)
     return sweeps
 
 
@@ -418,7 +420,7 @@ def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
 def test_row_kernel_compiles_without_warnings(tmp_path):
     source = Path(qknap.ckernel.__file__).with_name("_rowkernel.c")
     # the kernel is built by whatever cc a user has: keep it to standard C99
-    argv = [*qknap.ckernel._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
+    argv = [*qknap.ckbuild._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
     argv += [*qknap.ckernel._CFLAGS, f"-I{sysconfig.get_paths()['include']}"]
     run = subprocess.run(
         [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
@@ -500,7 +502,7 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
     zero, one, one_two, both = [0, 0], [1, 1], [0o11, 2], [0o12, 3]
-    for each in (kernel, qknap.dp._sweep_py):
+    for each in (kernel, qknap.twin.sweep):
         # unclamped, every row keeps the zero label for cell 0; item 1 covers it,
         # then item 2 alone covers item 1 and both cover item 2
         assert _sweep(each) == ([zero, zero + one, zero + one + one_two + both], 4, 1)
@@ -521,9 +523,9 @@ def test_c_rows_outgrow_their_first_buffers():
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
     inst = generate_instance(GeneratorParams(n=200, k=3, weight_max=50, seed=1, capacity=500))
-    sweeps, twin = [], qknap.dp._sweep_py
+    sweeps, twin = [], qknap.twin.sweep
     with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", 10**12):
-        with mock.patch.object(qknap.dp, "_sweep_py", lambda *a: sweeps.append(a) or twin(*a)):
+        with mock.patch.object(qknap.twin, "sweep", lambda *a: sweeps.append(a) or twin(*a)):
             want = solve(inst)
     [(*args, keep)] = sweeps
     got = kernel(*args, True)
@@ -622,14 +624,15 @@ def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatc
 
 
 def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
-    # Without a compiler on hand the load gives up at once: no build modules
-    # imported, nothing written to the cache. -S keeps site hooks, which may
-    # import modules of their own, out of the child.
+    # Without a compiler on hand the build, which a cache miss imports, gives
+    # up at once: neither subprocess nor tempfile imported, nothing written to
+    # the cache. -S keeps site hooks, which may import modules of their own,
+    # out of the child.
     cache = tmp_path / "cache"
     script = (
         "import sys; import qknap.ckernel; kernel, reason = qknap.ckernel._load_row_kernel(); "
-        'print(kernel is None, "subprocess" in sys.modules, "tempfile" in sys.modules); '
-        "print(reason)"
+        'print(kernel is None, "qknap.ckbuild" in sys.modules, "subprocess" in sys.modules, '
+        '"tempfile" in sys.modules); print(reason)'
     )
     env = {
         **os.environ,
@@ -642,7 +645,7 @@ def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     verdict, reason = run.stdout.splitlines()
-    assert verdict == "True False False"
+    assert verdict == "True True False False"
     assert "/nonexistent/cc" in reason
     assert not cache.exists() or not any(cache.iterdir())
 
@@ -698,7 +701,7 @@ def test_each_extension_suffix_gets_its_own_build(tmp_path, monkeypatch):
             qknap.ckernel._load_row_kernel.cache_clear()
             kernel, reason = qknap.ckernel._load_row_kernel()
             assert kernel is not None and reason.endswith(suffix), reason
-            assert _sweep(kernel) == _sweep(qknap.dp._sweep_py)
+            assert _sweep(kernel) == _sweep(qknap.twin.sweep)
         names = sorted(path.name for path in _files(builds))
         assert len(names) == 2 and names[0].split(".")[0] == names[1].split(".")[0], names
     finally:
@@ -742,9 +745,10 @@ def _imports(*args, env=None):
 @needs_cc
 def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
     # With the kernel already built, a solve or greedy process needs neither the
-    # compiler toolchain nor the subcommands it does not run, a plain request is
-    # served without argparse or qknap.commands, and a solve on the Python twin
-    # loads no qknap.ckernel. Each runs as `python -m qknap` does.
+    # compiler toolchain, its builder qknap.ckbuild, the instance generator nor
+    # the subcommands it does not run, and a plain request is served without
+    # argparse or qknap.commands. A C solve loads no qknap.twin, and a solve on
+    # the Python twin no qknap.ckernel. Each runs as `python -m qknap` does.
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     (tmp_path / "big.qknap").write_text(serialize_instance(big))
     qknap.ckernel._load_row_kernel.cache_clear()
@@ -757,8 +761,8 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
     for path, backend, rest, runs in [
         (tmp_path / "big.qknap", "c-kernel", [], c_solve),  # 2,440 cells
         (tmp_path / "big.qknap", "c-kernel", ["--matrix"], c_solve),
-        (data_dir / "table1.qknap", "python", [], {"qknap.dp"}),  # 28 cells
-        (data_dir / "table1.qknap", "python", ["--matrix"], {"qknap.dp"}),
+        (data_dir / "table1.qknap", "python", [], {"qknap.dp", "qknap.twin"}),  # 28 cells
+        (data_dir / "table1.qknap", "python", ["--matrix"], {"qknap.dp", "qknap.twin"}),
         (tmp_path / "big.qknap", None, ["r"], {"qknap.greedy"}),
         (data_dir / "table1.qknap", None, ["w"], {"qknap.greedy"}),
     ]:
@@ -774,7 +778,8 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
         unused |= {"qknap.commands", "argparse", "gettext", "locale"}
         unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
         unused |= {"qknap.dominance", "qknap.oracle"}
-        unused |= {"qknap.dp", "qknap.ckernel", "qknap.greedy"} - runs
+        unused |= {"qknap.dp", "qknap.ckernel", "qknap.twin", "qknap.greedy"} - runs
+        unused |= {"qknap.ckbuild", "qknap.generator"}  # the build is cached; no request generates
         unused |= {"ctypes", "shlex", "sysconfig"}  # a cached extension loads without them
         assert loaded & unused == set(), (command, path.name, rest)
 
