@@ -2,7 +2,9 @@
 
 ``qknap.ckernel._load_row_kernel`` imports this module only when no
 build is cached, so a process that loads a cached build never compiles
-it, nor imports ``shlex``, ``shutil`` or ``sysconfig``. A compiler or a
+it, nor imports ``shlex``, ``shutil`` or ``sysconfig``. The loader
+passes ``build`` the compiler flags, which are part of its cache key, so
+this module imports nothing from ``qknap``. A compiler or a
 ``Python.h`` that is not there is found missing before ``subprocess``
 and ``tempfile`` are imported or anything is written.
 """
@@ -12,16 +14,14 @@ import shlex
 import shutil
 import sysconfig
 
-from .ckernel import _CFLAGS
-
 
 def _compiler() -> list[str]:
     """The command that builds the kernel: ``$CC``, else ``cc``."""
     return shlex.split(os.environ.get("CC", "")) or ["cc"]
 
 
-def build(source: str, lib: str) -> str | None:
-    """Compile ``source`` into ``lib``; None once built, else why it was not.
+def build(source: str, lib: str, flags: tuple[str, ...]) -> str | None:
+    """Compile ``source`` into ``lib`` with ``flags``; None once built, else why it was not.
 
     The build compiles into a temporary directory beside ``lib`` and is
     renamed into place. ``shlex`` raises ValueError for a ``$CC`` it
@@ -40,7 +40,7 @@ def build(source: str, lib: str) -> str | None:
     os.makedirs(cache, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
         built = os.path.join(tmp, name)
-        argv = [*cc, *_CFLAGS, f"-I{include}", "-o", built, source]
+        argv = [*cc, *flags, f"-I{include}", "-o", built, source]
         run = subprocess.run(argv, capture_output=True, text=True)
         if run.returncode != 0:
             err = run.stderr.strip()[-400:]

@@ -7,7 +7,6 @@ one of maximum cardinality, and it is guaranteed efficient only when it
 fills the capacity exactly.
 """
 
-import enum
 from collections import namedtuple
 
 from .model import Instance, rank_cardinality_vector
@@ -15,8 +14,8 @@ from .model import Instance, rank_cardinality_vector
 __all__ = ["Guarantee", "GreedyResult", "greedy_r", "greedy_w", "r_lex_order", "w_lex_order"]
 
 
-class Guarantee(enum.Enum):
-    """Efficiency guarantee attached to a greedy solution."""
+class Guarantee:
+    """Efficiency guarantee attached to a greedy solution: each is the word printed for it."""
 
     EFFICIENT = "Efficient"
     EFFICIENT_BECAUSE_FULL = "EfficientBecauseFull"
@@ -54,7 +53,7 @@ def greedy_w(inst: Instance) -> GreedyResult:
     return _greedy(inst, w_lex_order, Guarantee.EFFICIENT_BECAUSE_FULL, Guarantee.NO_GUARANTEE)
 
 
-def _greedy(inst: Instance, order, if_full: Guarantee, otherwise: Guarantee) -> GreedyResult:
+def _greedy(inst: Instance, order, if_full: str, otherwise: str) -> GreedyResult:
     """Take the items of ``order(inst)`` in turn, each one that still fits."""
     remaining = inst.capacity
     chosen = []

@@ -204,5 +204,5 @@ def serialize_greedy(result: "GreedyResult") -> str:
     """The greedy solution's ids ascending, vector, weight and guarantee, on one line."""
     return (
         f"items={_format_items(sorted(result.subset))} vector={format_vector(result.vector)} "
-        f"weight={result.weight} guarantee={result.guarantee.value}\n"
+        f"weight={result.weight} guarantee={result.guarantee}\n"
     )

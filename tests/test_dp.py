@@ -577,6 +577,9 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
         lib.parent.mkdir(parents=True)
         lib.write_text("garbage")
         return "no C row kernel: ", str(lib)
+    if case == "no-extension-suffix":  # an interpreter that loads no extension module
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        return "no C row kernel: ", "extension"
     assert case == "no-home"  # no $HOME, no $XDG_CACHE_HOME and a uid pwd does not know
     monkeypatch.setenv("CC", "false")  # any $CC that splits: the load stops before it
     monkeypatch.delenv("HOME", raising=False)
@@ -600,6 +603,7 @@ def _files(directory):
         "cached-build-unloadable",
         "compiler-not-executable",
         "no-home",
+        "no-extension-suffix",
     ],
 )
 def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatch, case):
@@ -709,6 +713,29 @@ def test_each_extension_suffix_gets_its_own_build(tmp_path, monkeypatch):
         qknap.ckernel._load_row_kernel.cache_clear()
 
 
+def test_a_platform_without_uname_keys_the_build_without_the_machine(tmp_path, monkeypatch):
+    # Windows has no os.uname: the loader leaves the machine out of the cache
+    # key, and loads or builds the kernel as it does elsewhere.
+    big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
+    want = solve(big)  # 2,440 cells
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    qknap.ckernel._load_row_kernel.cache_clear()
+    try:
+        keyed = qknap.ckernel._load_row_kernel()[1]
+        qknap.ckernel._load_row_kernel.cache_clear()
+        monkeypatch.delattr(os, "uname")
+        kernel, reason = qknap.ckernel._load_row_kernel()
+        assert (kernel is not None) == compiler_found(), reason
+        if kernel is not None:  # another key names another build, beside the first
+            assert reason.startswith("compiled C row kernel ") and reason != keyed, reason
+        res = solve(big)
+        assert res.stats.backend == C_BACKEND
+        assert res.labels == want.labels
+    finally:
+        # the next call loads the kernel again, in the restored environment
+        qknap.ckernel._load_row_kernel.cache_clear()
+
+
 def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     assert solve(big).stats.cells >= qknap.dp._KERNEL_MIN_CELLS
@@ -801,3 +828,14 @@ def test_an_unserved_command_loads_only_what_it_runs(data_dir):
         assert run.returncode == 0, run.stderr
         assert "qknap.commands" in names, argv
         assert names & unused == set(), argv
+
+
+@pytest.mark.parametrize("mode", ["r", "w"])
+def test_a_greedy_request_imports_no_enum(data_dir, mode):
+    # A guarantee is the word printed for it. -S keeps a site .pth file, which
+    # may import enum first, from hiding an import of it here.
+    env = {**os.environ, "PYTHONPATH": str(Path(qknap.dp.__file__).parents[1])}
+    run, names = _imports("-S", "-m", "qknap", "greedy", str(data_dir / "table1.qknap"), mode, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "qknap.greedy" in names
+    assert "enum" not in names
