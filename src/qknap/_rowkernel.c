@@ -2,8 +2,9 @@
  *
  * Built on first use by qknap.ckbuild and loaded by qknap.ckernel as the
  * module qknap._rowkernel; the pure-Python twin qknap.twin.sweep follows
- * it step for step. qknap.dp._lanes lays out a record's R = ks + 1 words:
- * the ks lane words, then the weight. The qknap.dp docstring documents
+ * it step for step. qknap.dp._lanes lays out a record's R = ks + 2 words:
+ * the ks lane words, the weight, then the exit, the clamped weight at
+ * which the label leaves the frontier. The qknap.dp docstring documents
  * the row, its clamp t, the guard-bit dominance test used below and why
  * a label needs no more than its vector and weight.
  *
@@ -37,9 +38,11 @@ static uint64_t clamp(uint64_t w, uint64_t t) { return w > t ? w : t; }
  * no other kept label covers. Equal vectors cover by the lighter label,
  * and on equal weights by the one in F. A covered candidate is dropped,
  * pos stays, and its scan ends there. A kept one moves pos past it and
- * takes out of F what it covers; what it covers at its own clamped
- * weight it marks dead by a weight of W + 1, which no label has, and the
- * dead are removed at the end.
+ * takes out of F what it covers. Every candidate written gets exit
+ * W + 1, which no clamped weight reaches: it is in F. When a kept one of
+ * clamped weight w covers a record of F, w becomes that record's exit.
+ * At the end the row keeps the records whose exit is above their own
+ * clamped weight: one covered where it stands is in no cell.
  *
  * Every index is a count of records that the row itself took up: at most
  * 2m records are written into L_o and at most 2m record numbers into F,
@@ -52,7 +55,7 @@ static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
                   uint64_t t, uint64_t W)
 {
     uint64_t wt = item[ks], last = 0;
-    int64_t R = ks + 1, mb = m, nF = 0, pos = 0, comparisons = 0, max_cell = 0;
+    int64_t R = ks + 2, mb = m, nF = 0, pos = 0, comparisons = 0, max_cell = 0;
     size_t size = R * sizeof(uint64_t);
     while (mb > 0 && L[(mb - 1) * R + ks] + wt > W)
         mb--;
@@ -63,6 +66,7 @@ static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
         else
             for (int64_t q = 0, b = j++ * R; q < R; q++)
                 c[q] = L[b + q] + item[q];
+        c[ks + 1] = W + 1;
         uint64_t w = clamp(c[ks], t);
         if (w != last) {
             if (nF > max_cell)
@@ -86,8 +90,8 @@ static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
                 break;
             if (!ge_cr)
                 *g++ = *f;
-            else if (clamp(r[ks], t) == w)
-                r[ks] = W + 1;
+            else
+                r[ks + 1] = w;
         }
         if (f == F + nF) {
             nF = g - F;
@@ -98,7 +102,7 @@ static void merge(const uint64_t *L, const uint64_t *item, uint64_t *L_o,
         max_cell = nF;
     int64_t kept = 0;
     for (int64_t p = 0; p < pos; p++)
-        if (L_o[p * R + ks] <= W)
+        if (L_o[p * R + ks + 1] > clamp(L_o[p * R + ks], t))
             memmove(L_o + kept++ * R, L_o + p * R, size);
     out[0] = kept;
     out[1] = comparisons;
@@ -172,13 +176,13 @@ static PyObject *sweep(PyObject *self, PyObject *args)
                           &keep))
         return NULL;
     /* The merge reads and writes through bare pointers: n records in of
-     * R = ks + 1 words, at least one lane word and R not wrapped to 0,
+     * R = ks + 2 > 2 words (at least one lane word, and ks + 2 not wrapped),
      * weights that carry out of no word when added to one <= W, clamps
-     * t <= W, and W + 1 marks the dead. */
+     * t <= W, and an exit of W + 1 marks a record still in F. */
     int fits = words(items_o, &items) == 0 && words(ts_o, &ts) == 0;
     size_t n = ts.len / 8, len = items.len / 8;
-    R = ks + 1;
-    fits = fits && ks != 0 && R != 0 && len % R == 0 && len / R == n && W < (uint64_t)1 << 63;
+    R = ks + 2;
+    fits = fits && R > 2 && len % R == 0 && len / R == n && W < (uint64_t)1 << 63;
     const uint64_t *item = items.buf, *t = ts.buf;
     for (size_t i = 0; fits && i < n; i++)
         fits = 1 <= item[i * R + ks] && item[i * R + ks] < (uint64_t)1 << 63 && t[i] <= W;

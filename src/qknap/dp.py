@@ -25,16 +25,17 @@ so below t only its vector counts, then the tie rule (Toth's reduction).
 Heavy items first make t rise soonest. The last row has t = W, so it is
 cell (n, W) itself, plus the zero label when that cell is empty. With
 ``keep_matrix`` every row has t = 0 and the items are swept in input
-order; cell (i, x) is read from row i for every x <= W, where a label
-enters at its weight and leaves at the weight of the lightest label
-that covers it.
+order; cell (i, x) is read from row i for every x <= W: it holds the
+labels of weight at most x whose exit is above x.
 
-A row is a run of uint64 words, one record of R = ks + 1 words per
-label, laid out by ``_lanes`` and by it alone: the ks lane words, then
-the weight. The lane words hold the k suffix sums, which make dominance
-a plain componentwise comparison. Each sum sits in a lane of its own,
-``lane`` bits wide, whose top bit, its guard, stays clear. With H the
-mask of a word's guard bits, a >= b holds in every lane of a word iff
+A row is a run of uint64 words, one record of R = ks + 2 words per
+label, laid out by ``_lanes`` and by it alone: the ks lane words, the
+weight, then the exit, the clamped weight at which the label leaves the
+frontier, or W + 1 if it does not. The lane words hold the k suffix
+sums, which make dominance a plain componentwise comparison. Each sum
+sits in a lane of its own, ``lane`` bits wide, whose top bit, its
+guard, stays clear. With H the mask of a word's guard bits, a >= b
+holds in every lane of a word iff
 
     ((a | H) - b) & H == H
 
@@ -45,10 +46,10 @@ lane word, and equal vectors have equal words.
 
 Extending a label by an item adds the item's record, which ``solve``
 builds once per item: one in the low bit of each of the first level
-lanes, and the item's weight. The add is word by word and carries out
-of no word: a lane sum stays at most n under its guard, and a weight at
-most W < 2**63 plus the item's, also below 2**63. Extensions heavier
-than W are dropped.
+lanes, the item's weight, and an exit of 0, which the merge overwrites.
+The add is word by word and carries out of no word: a lane sum stays at
+most n under its guard, and a weight at most W < 2**63 plus the item's,
+also below 2**63. Extensions heavier than W are dropped.
 
 One sweep merges every row, in two implementations that give the same
 rows and counters: a C extension (``_rowkernel.c``, shipped beside this
@@ -64,27 +65,30 @@ grows its own buffers and may raise.
 ``solve`` builds the item records and the rows' t once, and the sweep
 takes them with ks, the guard mask H of a lane word, W and a keep-rows
 flag, and returns the rows as bytes (every row with the flag, else the
-last), the comparisons and max_cell. Each row is merged from
-the one before: the candidates are its records, A, and their
-extensions by the item, B, whose records heavier than W form a suffix
-of B and are dropped. Both runs are sorted by the next row's clamped
-weight, and the merge takes the candidates in that order, A first on a
-tie. Each candidate is compared with the prefix frontier F: the kept
-labels that no other kept label covers. On equal vectors the lighter
-covers, and on equal weights the label already in F. A covered
-candidate is dropped, and its scan ends there: F is an antichain, so it
-covers none of F. A kept candidate joins F and takes out of it every label it
-covers; one at its own clamped weight is covered in every cell it
-would be in, so it is marked dead by a weight of W + 1, which no label
-has, and the dead leave the row after the merge. The comparisons count
-the candidate x F pairs the scans take up, an upper bound on the
-dominance tests run. max_cell is the largest size of F when the
-clamped weight changes or a row ends, which is the largest cell (i, x),
-x >= t, of any row i. The sweep knows nothing of the zero label:
-``solve`` leaves it out of max_cell and of the reported labels. Every
-nonzero label covers it, so F keeps it only while no item swept so far
-fits, and then holds nothing else: max_cell counts it only when the
-frontier is empty, and ``solve`` checks that once, after the sweep.
+last), the comparisons and max_cell. Row 0 is the zero label, every
+word 0, and each later row is merged from the one before: the
+candidates are its records, A, and their extensions by the item, B,
+whose records heavier than W form a suffix of B and are dropped. Both
+runs are sorted by the next row's clamped weight, and the merge takes
+the candidates in that order, A first on a tie. Each candidate is
+compared with the prefix frontier F: the kept labels that no other kept
+label covers. On equal vectors the lighter covers, and on equal weights
+the label already in F. A covered candidate is dropped, and its scan
+ends there: F is an antichain, so it covers none of F. Each candidate
+placed gets exit W + 1, which no clamped weight reaches: it is in F. A
+kept candidate of clamped weight w joins F and takes out of it every
+label it covers, writing w into that label's exit, so the merge alone
+decides what covers what. After it the row keeps the labels whose exit
+is above their own clamped weight: one covered at its own clamped
+weight is in no cell. The comparisons count the candidate x F pairs the
+scans take up, an upper bound on the dominance tests run. max_cell is
+the largest size of F when the clamped weight changes or a row ends,
+which is the largest cell (i, x), x >= t, of any row i. The sweep knows
+nothing of the zero label: ``solve`` leaves it out of max_cell and of
+the reported labels. Every nonzero label covers it, so F keeps it only
+while no item swept so far fits, and then holds nothing else: max_cell
+counts it only when the frontier is empty, and ``solve`` checks that
+once, after the sweep.
 """
 
 import math
@@ -101,11 +105,12 @@ __all__ = ["label_bound", "solve"]
 # 2,440-cell instance (n=40, k=3, wmax=9, W=60) the Python twin takes
 # 1.5 us per cell and C 0.13 us (in-process, best of 20); in a new process
 # that finds no bytecode, importing qknap.ckernel and loading the cached
-# extension takes about 0.8 ms, and a build, cached for later processes,
-# 0.29 s (2-CPU sandbox, gcc 12.2, Python 3.11.7). The threshold keeps small
-# solves, such as a 44-cell cold start or the benchmark's 364-658-cell batch
-# instances, on the twin, so they never start the compiler; the 2,440-cell
-# instance and the dense (4,700-5,600 cells) and wide (20,200) workloads run C.
+# extension takes 1.4 ms (median of 31 processes, quartiles 1.3-2.0 ms),
+# and a build, cached for later processes, 0.29 s (2-CPU x86-64 Linux, gcc
+# 12.2, Python 3.11.7). The threshold keeps small solves, such as a 44-cell cold
+# start or the benchmark's 364-658-cell batch instances, on the twin, so they
+# never start the compiler; the 2,440-cell instance and the dense
+# (4,700-5,600 cells) and wide (20,200) workloads run C.
 _KERNEL_MIN_CELLS = 2_000
 
 
@@ -146,8 +151,8 @@ def solve(inst: Instance, keep_matrix: bool = False) -> FrontierResult:
         items = sorted(fit, key=attrgetter("weight"), reverse=True)
     rem = sum(item.weight for item in items)
     ks, H, _, where = lanes = _lanes(k, n)
-    recs, ts = array("Q", [0]) * (len(items) * (ks + 1)), array("Q")  # what extending by each adds
-    for o, item in zip(range(0, len(recs), ks + 1), items):
+    recs, ts = array("Q", [0]) * (len(items) * (ks + 2)), array("Q")  # what extending by each adds
+    for o, item in zip(range(0, len(recs), ks + 2), items):
         rem -= item.weight
         # rem is now the weight of the items after this one: they lift any label below W - rem to W
         ts.append(0 if keep_matrix else max(0, W - rem))
@@ -179,18 +184,18 @@ def _kernel(cells: int):
 
 
 def _labels(row, lanes, items) -> list[tuple[int, Label]]:
-    """The labels of a row's bytes in row order, zero label skipped: ``(lane words, Label)``.
+    """The labels of a row's bytes in row order, zero label skipped: ``(exit, Label)``.
 
-    ``lanes`` is the record layout ``_lanes(k, n)``; the lane words come
-    as one integer, word q at bit 64q. ``items`` are the items swept into
-    the row, in any order. Each witness takes a prefix of each level's
-    items sorted by (weight, id), as ``qknap.dp`` describes.
+    ``lanes`` is the record layout ``_lanes(k, n)``. ``items`` are the
+    items swept into the row, in any order. Each witness takes a prefix
+    of each level's items sorted by (weight, id), as ``qknap.dp``
+    describes.
     """
     ks, _, mask, where = lanes
     row, out, levels = memoryview(row).cast("Q"), [], [[] for _ in where]
     for item in sorted(items, key=attrgetter("weight", "id")):
         levels[item.level - 1].append(item.id)
-    for i in range(0, len(row), ks + 1):
+    for i in range(0, len(row), ks + 2):
         weight = row[i + ks]
         if weight == 0:
             continue
@@ -198,34 +203,34 @@ def _labels(row, lanes, items) -> list[tuple[int, Label]]:
         sums.append(0)
         counts = tuple(map(sub, sums, sums[1:]))
         witness = tuple(sorted(chain.from_iterable(lv[:c] for lv, c in zip(levels, counts))))
-        out.append((sum(row[i + q] << 64 * q for q in range(ks)), Label(counts, weight, witness)))
+        out.append((row[i + ks + 1], Label(counts, weight, witness)))
     return out
 
 
 def _cells(row, W: int, lanes, items) -> tuple[tuple[Label, ...], ...]:
     """Reported cells 0..W of an unclamped row (t = 0), each in canonical order.
 
-    The row is sorted by weight and holds one label per vector, so cell x
-    is cell x - 1 plus the labels of weight x, less those they cover.
+    The row is sorted by weight, and cell x holds its labels of weight
+    at most x and exit above x. Each exit up to W is the weight of a
+    label in the row, so cell x is cell x - 1, less the labels that
+    exit at x, plus those of weight x.
     """
-    HH = sum(lanes[1] << 64 * q for q in range(lanes[0]))
     cells, front = [()], []  # only the zero label, never reported, weighs 0
     for weight, new in groupby(_labels(row, lanes, items), key=lambda p: p[1].weight):
-        for s, lab in new:
-            front = [f for f in front if ((s | HH) - f[0]) & HH != HH] + [(s, lab)]
+        front = [f for f in front if f[0] > weight] + list(new)
         cells += [cells[-1]] * (weight - len(cells)) + [_canonical(front)]
     return tuple(cells + [cells[-1]] * (W + 1 - len(cells)))
 
 
 def _canonical(labels) -> tuple[Label, ...]:
-    """The Labels of ``(lane words, Label)`` pairs, in canonical order."""
+    """The Labels of ``(exit, Label)`` pairs, in canonical order."""
     return tuple(sorted((lab for _, lab in labels), key=canonical_key))
 
 
 def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
     """Layout of a label's record, for k levels and n items: ``(ks, H, mask, where)``.
 
-    A record is R = ks + 1 uint64 words:
+    A record is R = ks + 2 uint64 words:
 
     - words 0..ks-1, the lane words, hold the k suffix sums. Sum j sits
       in a lane of lane = n.bit_length() + 1 bits, lane j % per of word
@@ -234,7 +239,7 @@ def _lanes(k: int, n: int) -> tuple[int, int, int, list[tuple[int, int]]]:
       never exceeds n, so the top bit of each lane, its guard, stays
       clear. H is a lane word's guard mask, mask one lane's, and where[j]
       the (word, shift) of sum j;
-    - word ks holds the weight.
+    - word ks holds the weight, and word ks + 1 the exit.
 
     ``solve`` encodes each item's record with this table and
     ``_labels`` decodes each reported label with it.

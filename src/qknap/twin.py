@@ -16,19 +16,22 @@ def sweep(items, ts, ks, H, W, keep):
     its record's words. Dominance is tested on the integer with the guard
     bits of every word in ``HH``: no borrow crosses a lane, so the test
     holds across words as it does within one, and extending adds ``INC``.
+    Each candidate placed gets exit W + 1, in F; a kept one of clamped
+    weight w that covers a record of F writes w into its exit, and the
+    row keeps the records whose exit is above their own clamped weight.
     """
-    R, HH = ks + 1, sum(H << 64 * q for q in range(ks))
+    R, HH = ks + 2, sum(H << 64 * q for q in range(ks))
     flat = lambda row: array("Q", [v for _, c in row for v in c]).tobytes()
     row, rows, comparisons, max_cell = [(0, [0] * R)], [], 0, 0  # row 0: the zero label
     for o, t in zip(range(0, len(items), R), ts):
-        if keep:  # copied now: the merge marks the dead in place
+        if keep:  # copied now: the merge writes exits in place
             rows.append(flat(row))
         item = items[o : o + R].tolist()
         wt, INC = item[ks], sum(v << 64 * q for q, v in enumerate(item[:ks]))
         B = [(s + INC, list(map(add, a, item))) for s, a in row if a[ks] + wt <= W]
         kept, F, last = [], [], 0
         for s, c in sorted(row + B, key=lambda cand: max(cand[1][ks], t)):  # stable: A first on a tie
-            w = max(c[ks], t)
+            w, c[ks + 1] = max(c[ks], t), W + 1
             if w != last:
                 max_cell, last = max(max_cell, len(F)), w
             rest = []
@@ -43,11 +46,10 @@ def sweep(items, ts, ks, H, W, keep):
                 elif ((s | HH) - sf) & HH != HH:
                     rest.append(f)
                     continue
-                if max(r[ks], t) == w:
-                    r[ks] = W + 1  # dead: covered at its own clamped weight, and no label weighs W + 1
+                r[ks + 1] = w  # c covers r: r leaves F at w
             else:
                 F = rest + [(s, c)]
                 kept.append(F[-1])
         max_cell = max(max_cell, len(F))
-        row = [(s, c) for s, c in kept if c[ks] <= W]  # the dead leave
+        row = [(s, c) for s, c in kept if c[ks + 1] > max(c[ks], t)]  # covered where it stands: in no cell
     return [*rows, flat(row)], comparisons, max_cell

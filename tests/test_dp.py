@@ -6,7 +6,6 @@ import subprocess
 import sys
 import sysconfig
 from array import array
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -35,6 +34,7 @@ from qknap import (
     serialize_instance,
     solve,
     total_weight,
+    weakly_dominates,
 )
 
 
@@ -112,7 +112,7 @@ def test_solve_zero_capacity(table1):
                 # the zero label is not reported, so it never counts toward a cell's size
                 assert res.stats.max_cell == 0, (min_cells, keep, inst.capacity)
             # one item: every column holds one label, the zero label or the item
-            one = replace(zero, capacity=2, items=zero.items[:1])
+            one = zero._replace(capacity=2, items=zero.items[:1])
             assert solve(one, keep_matrix=keep).stats.max_cell == 1
             res = solve(late, keep_matrix=keep)
             assert res.labels == (Label((0, 1), 1, (2,)),)
@@ -127,13 +127,13 @@ def test_solve_empty_instance():
 def test_capacity_beyond_the_total_weight_is_clamped():
     inst = generate_instance(GeneratorParams(n=8, k=1, weight_max=5, seed=3, capacity=1))
     n, total = len(inst.items), sum(item.weight for item in inst.items)
-    at = solve(replace(inst, capacity=total))
+    at = solve(inst._replace(capacity=total))
     # the windows already give row 0 only total + 1 columns; the clamp sets cells
-    beyond = solve(replace(inst, capacity=total + 10**6))
+    beyond = solve(inst._replace(capacity=total + 10**6))
     assert beyond.labels == at.labels
     assert beyond.stats.cells == at.stats.cells == n * (total + 1)
     # a matrix shows every column up to the capacity
-    matrix = solve(replace(inst, capacity=total + 3), keep_matrix=True)
+    matrix = solve(inst._replace(capacity=total + 3), keep_matrix=True)
     assert matrix.labels == at.labels
     assert matrix.stats.cells == n * (total + 4) and len(matrix.matrix[0]) == total + 4
 
@@ -189,7 +189,7 @@ def test_solve_matches_oracle_exactly(inst):
 def test_item_order_does_not_change_the_answer(inst, rng):
     shuffled = list(inst.items)
     rng.shuffle(shuffled)
-    orders = [replace(inst, items=inst.items[::-1]), replace(inst, items=tuple(shuffled))]
+    orders = [inst._replace(items=inst.items[::-1]), inst._replace(items=tuple(shuffled))]
     # a solve sweeps items heaviest first, ties in input order, and --matrix in
     # input order; the witness rule must not depend on either
     want = solve(inst, keep_matrix=True).labels
@@ -269,7 +269,7 @@ def _path_instance(shape):
     inst = generate_instance(params)
     ids = [item.id for item in inst.items]
     random.Random(seed).shuffle(ids)
-    return replace(inst, items=tuple(item._replace(id=i) for item, i in zip(inst.items, ids)))
+    return inst._replace(items=tuple(item._replace(id=i) for item, i in zip(inst.items, ids)))
 
 
 @pytest.mark.parametrize("keep", [False, True], ids=["solve", "matrix"])
@@ -354,6 +354,56 @@ def test_c_and_python_kernels_agree(params, monkeypatch):
     assert len(rows) == len(inst.items) + 1
 
 
+def _records(row, lanes):
+    """A row's records as ``(counts, weight, exit)``, the zero label included."""
+    ks, _, mask, where = lanes
+    words = memoryview(row).cast("Q")
+    for i in range(0, len(words), ks + 2):
+        sums = [words[i + q] >> shift & mask for q, shift in where] + [0]
+        yield tuple(a - b for a, b in zip(sums, sums[1:])), words[i + ks], words[i + ks + 1]
+
+
+@pytest.mark.parametrize(
+    "min_cells, backend",
+    [
+        pytest.param(0, "c-kernel", marks=needs_cc, id="c-kernel"),
+        pytest.param(10**12, "python", id="python"),
+    ],
+)
+@pytest.mark.parametrize("shape", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
+def test_each_record_keeps_the_weight_at_which_it_leaves_the_frontier(
+    shape, min_cells, backend, monkeypatch
+):
+    # An unclamped row's label leaves the frontier at the weight of the
+    # lightest other label of the row that covers it, so --matrix reads cell
+    # x as the labels of weight <= x < exit. A plain solve's last row is its
+    # frontier, which no label leaves: every exit there is W + 1.
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", min_cells)
+    kernel_of, sweeps = qknap.dp._kernel, []
+
+    def recorded(cells):
+        kernel, name = kernel_of(cells)
+
+        def sweep(*args):
+            sweeps.append((args, kernel(*args)))
+            return sweeps[-1][1]
+
+        return sweep, name
+
+    monkeypatch.setattr(qknap.dp, "_kernel", recorded)
+    inst = _path_instance(shape)
+    assert solve(inst, keep_matrix=True).stats.backend == solve(inst).stats.backend == backend
+    [(matrix_args, (rows, *_)), (solve_args, ([last], *_))] = sweeps
+    lanes = qknap.dp._lanes(inst.k, len(inst.items))
+    for i, row in enumerate(rows[1:], start=1):
+        records = list(_records(row, lanes))
+        for j, (vector, weight, exit) in enumerate(records):
+            others = records[:j] + records[j + 1 :]
+            covers = [w for v, w, _ in others if weakly_dominates(v, vector)]
+            assert exit == min(covers, default=matrix_args[4] + 1), (i, vector, weight)
+    assert {exit for _, _, exit in _records(last, lanes)} == {solve_args[4] + 1}
+
+
 @needs_cc
 @pytest.mark.parametrize(
     "params",
@@ -376,12 +426,17 @@ def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
     [((items, ts, ks, _, W_arg, keep), rows)] = sweeps
     assert (len(rows), W_arg, keep) == (len(order) + 1, W, False)
     lanes = qknap.dp._lanes(inst.k, len(inst.items))
-    R, mask, where = ks + 1, lanes[2], lanes[3]
+    R, mask, where = ks + 2, lanes[2], lanes[3]
     for i, L in enumerate(rows[1:], start=1):
-        # the item record holds a one in each of its first `level` lanes, then its weight
+        # the item record holds a one in each of its first `level` lanes, its
+        # weight and an exit of 0
         rec, t, item = items[(i - 1) * R : i * R], ts[i - 1], order[i - 1]
         sums = [rec[q] >> shift & mask for q, shift in where]
-        assert (sums, rec[ks]) == ([1] * item.level + [0] * (inst.k - item.level), item.weight)
+        assert (sums, rec[ks], rec[ks + 1]) == (
+            [1] * item.level + [0] * (inst.k - item.level),
+            item.weight,
+            0,
+        )
         # row i clamps at W - (weight of the items still to come), is sorted by
         # clamped weight and holds no label heavier than W
         assert t == max(0, W - sum(item.weight for item in order[i:])), f"item {i}"
@@ -433,12 +488,13 @@ def test_row_kernel_compiles_without_warnings(tmp_path):
 def _kernel_args():
     """Arguments that fit: the sweep of a solve with k=2, n=3, W=3 over items 1 and 2.
 
-    Lanes of 3 bits, 21 to a word: a record of one lane word and the
-    weight. Item 1 (weight 1, level 1) adds 1 to lane 0 and its weight;
-    item 2 (weight 2, level 2) adds 1 to lanes 0 and 1 and its weight.
+    Lanes of 3 bits, 21 to a word: a record of one lane word, the weight
+    and the exit. Item 1 (weight 1, level 1) adds 1 to lane 0 and its
+    weight; item 2 (weight 2, level 2) adds 1 to lanes 0 and 1 and its
+    weight. An item's exit is 0.
     """
     return dict(
-        items=array("Q", [1, 1, 0o11, 2]),
+        items=array("Q", [1, 1, 0, 0o11, 2, 0]),
         ts=array("Q", [0, 0]),
         ks=1,
         H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
@@ -458,20 +514,21 @@ def _sweep(kernel, **args):
     [
         dict(ts=array("Q", [0, 0, 0])),
         dict(ts=array("Q", [0])),
-        dict(items=array("Q", [1, 1, 0o11, 2]).tobytes()),
+        dict(items=array("Q", [1, 1, 0, 0o11, 2, 0]).tobytes()),
         dict(ts=array("q", [0, 0])),
-        dict(items=array("Q", [1, 2**64 - 1, 0o11, 2])),  # it carries out
-        dict(items=array("Q", [1, 1, 0o11, 0])),  # no item weighs 0
-        dict(ks=3),  # one record of 4 words for two items
-        dict(ks=2),  # 4 words are no whole number of 3-word records
-        dict(ks=0, items=array("Q", [1, 2])),  # records of the weight alone, one an item
-        dict(ks=2**64 - 1),  # ks + 1 wraps to a record of 0 words
-        dict(items=array("q", [1, 1, 0o11, 2])),
-        dict(items=array("Q", [1, 1, 0o11])),
+        dict(items=array("Q", [1, 2**64 - 1, 0, 0o11, 2, 0])),  # it carries out
+        dict(items=array("Q", [1, 1, 0, 0o11, 0, 0])),  # no item weighs 0
+        dict(ks=4),  # one record of 6 words for two items
+        dict(ks=2),  # 6 words are no whole number of 4-word records
+        dict(ks=0, items=array("Q", [1, 0, 2, 0])),  # records of the weight and exit alone
+        dict(ks=2**64 - 2),  # ks + 2 wraps to a record of 0 words
+        dict(ks=2**64 - 1),  # ks + 2 wraps to a record of 1 word
+        dict(items=array("q", [1, 1, 0, 0o11, 2, 0])),
+        dict(items=array("Q", [1, 1, 0, 0o11, 2])),
         dict(ts=array("Q", [4, 0])),
         dict(ts=array("Q", [0, 4])),
         dict(ts=array("q", [-1, 0])),
-        dict(W=2**63, ts=array("Q", [0, 0])),  # W + 1 marks the dead
+        dict(W=2**63, ts=array("Q", [0, 0])),  # weights below 2**63 carry out of no word
         dict(W=2**64),
         dict(ks=-1),
     ],
@@ -486,6 +543,7 @@ def _sweep(kernel, **args):
         "record-straddles-the-items",
         "ks-zero",
         "record-wraps-to-zero-words",
+        "record-wraps-to-one-word",
         "signed-item",
         "item-one-word-short",
         "clamp-beyond-W",
@@ -501,16 +559,20 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     # refused before it touches them
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
+    # a record is (lane word, weight, exit); a label the merge placed has exit W + 1 = 4
+    # until a label covers it, and row 0, which no merge made, is all zero
     zero, one, one_two, both = [0, 0], [1, 1], [0o11, 2], [0o12, 3]
+    row_0, row_1 = zero + [0], zero + [1] + one + [4]
+    last = zero + [1] + one + [2] + one_two + [3] + both + [4]
     for each in (kernel, qknap.twin.sweep):
-        # unclamped, every row keeps the zero label for cell 0; item 1 covers it,
-        # then item 2 alone covers item 1 and both cover item 2
-        assert _sweep(each) == ([zero, zero + one, zero + one + one_two + both], 4, 1)
-        assert _sweep(each, keep=False) == ([zero + one + one_two + both], 4, 1)
+        # unclamped, every row keeps the zero label for cell 0; item 1 covers it
+        # at 1, then item 2 alone covers item 1 at 2 and both cover item 2 at 3
+        assert _sweep(each) == ([row_0, row_1, last], 4, 1)
+        assert _sweep(each, keep=False) == ([last], 4, 1)
         # the last row clamped at 3: all four weigh 3, so both items cover the rest where they stand
-        assert _sweep(each, ts=array("Q", [0, 3])) == ([zero, zero + one, both], 4, 1)
-        # no items: row 0 alone, a record of ks + 1 words
-        assert _sweep(each, items=array("Q"), ts=array("Q"), ks=2) == ([[0, 0, 0]], 0, 0)
+        assert _sweep(each, ts=array("Q", [0, 3])) == ([row_0, row_1, both + [4]], 4, 1)
+        # no items: row 0 alone, the zero label, a record of ks + 2 words that no merge wrote
+        assert _sweep(each, items=array("Q"), ts=array("Q"), ks=2) == ([[0, 0, 0, 0]], 0, 0)
     with pytest.raises(ValueError, match="do not fit"):
         _sweep(kernel, **bad)
 
@@ -530,7 +592,7 @@ def test_c_rows_outgrow_their_first_buffers():
     [(*args, keep)] = sweeps
     got = kernel(*args, True)
     assert got == twin(*args, True)
-    assert max(map(len, got[0])) // (8 * (args[2] + 1)) > 900  # a record is ks + 1 words
+    assert max(map(len, got[0])) // (8 * (args[2] + 2)) > 900  # a record is ks + 2 words
     assert got[1:] == (want.stats.comparisons, want.stats.max_cell)
 
 

@@ -191,9 +191,9 @@ def test_equal_instances_are_equal_and_hash_equal(table1, data_dir):
     assert twin is not table1
     assert twin == table1 and hash(twin) == hash(table1)
     assert read_instance(str(data_dir / "table1.qknap")) == table1
-    assert replace(table1, capacity=5) != table1
+    assert table1._replace(capacity=5) != table1
     assert table1 == (table1.k, table1.capacity, table1.items)
-    assert len({table1, twin, replace(table1, k=5)}) == 2
+    assert len({table1, twin, table1._replace(k=5)}) == 2
     assert repr(Instance(k=1, capacity=2, items=(Item(1, 2, 1),))) == (
         "Instance(k=1, capacity=2, items=(Item(id=1, weight=2, level=1),))"
     )
