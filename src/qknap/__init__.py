@@ -20,15 +20,14 @@ __version__ = "0.1.0"
 _SOURCE = {
     name: module
     for module, names in (
-        ("dominance", "Valuation dominates equivalent evaluate falsification_witness pareto_filter "
-         "suffix_sums weakly_dominates"),
+        ("dominance", "OracleGuardError Valuation dominates enumerate_feasible enumerate_frontier "
+         "equivalent evaluate falsification_witness pareto_filter suffix_sums weakly_dominates"),
         ("dp", "label_bound solve"),
         ("generator", "GeneratorParams SplitMix64 generate_instance serialize_instance"),
         ("greedy", "Guarantee GreedyResult greedy_r greedy_w r_lex_order w_lex_order"),
         ("instance_io", "ParseError parse_instance read_instance serialize_frontier"),
         ("model", "FrontierResult Instance InvalidInstanceError Item Label SolveStats "
          "rank_cardinality_vector total_weight validate_instance"),
-        ("oracle", "OracleGuardError enumerate_feasible enumerate_frontier"),
     )
     for name in names.split()
 }

@@ -8,7 +8,10 @@ never compiles or runs it, and never imports argparse. The grammar's
 ``solve`` and ``greedy`` run ``cli._cmd_solve`` and ``cli._cmd_greedy``,
 the same functions a served request runs; the other subcommands,
 enumerate, gen, check and bench, and the argparse types ``_int``,
-``_int_list`` and ``_ratio`` live here. This module imports ``cli``;
+``_int_list`` and ``_ratio`` live here. Like ``cli``, each subcommand
+imports what it needs when it runs: only gen and bench import
+``qknap.generator``, and bench draws each instance of its sweep just
+before it solves it. This module imports ``cli``;
 ``cli`` must import it only inside ``main``, or importing either module
 first would find the other half-built.
 """
@@ -17,7 +20,6 @@ import argparse
 import sys
 
 from .cli import EXIT_GUARD, EXIT_INFEASIBLE, EXIT_OK, _cmd_greedy, _cmd_solve, _fail
-from .generator import GeneratorParams, generate_instance, serialize_instance
 from .instance_io import format_vector, frontier_json, parse_int, read_instance, serialize_frontier
 from .model import rank_cardinality_vector, total_weight
 
@@ -27,7 +29,7 @@ if TYPE_CHECKING:  # named in quoted annotations only, which are never evaluated
 
 
 def _cmd_enumerate(args) -> int:
-    from .oracle import OracleGuardError, enumerate_frontier
+    from .dominance import OracleGuardError, enumerate_frontier
 
     inst = read_instance(args.instance)
     try:
@@ -39,6 +41,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GeneratorParams, generate_instance, serialize_instance
+
     params = GeneratorParams(
         n=args.n,
         k=args.k,
@@ -115,6 +119,7 @@ def _cmd_bench(args) -> int:
     from itertools import product
 
     from .dp import label_bound, solve
+    from .generator import GeneratorParams, generate_instance
 
     key = "capacity" if args.capacity is not None else "ratio"
     # the whole sweep's parameters are checked before the CSV header is printed
@@ -126,9 +131,9 @@ def _cmd_bench(args) -> int:
             args.n, args.k, getattr(args, key), range(1, args.seeds + 1), args.wmax
         )
     ]
-    insts = [generate_instance(params) for params in sweep]
     print("n,k,W,seed,frontier_size,max_cell,label_bound,comparisons,wall_time")
-    for params, inst in zip(sweep, insts):
+    for params in sweep:
+        inst = generate_instance(params)
         result = solve(inst)
         print(
             f"{params.n},{params.k},{inst.capacity},{params.seed},{len(result.labels)},"

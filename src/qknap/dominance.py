@@ -10,17 +10,28 @@ explicit valuation witnessing the failure can be constructed.
 All valuation arithmetic is exact (``fractions.Fraction``); no floats.
 A :class:`Valuation` is the tuple of its values, checked when built:
 ``len(v)`` is its level count k.
+
+The brute-force frontier that the dynamic program and the greedy
+guarantees are checked against lives here too: every feasible subset
+is enumerated and the :func:`pareto_filter` reference keeps the
+non-dominated ones. Deliberately simple and slow, it is guarded against
+accidental use on instances where 2^n is no longer a joke.
 """
 
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .model import Label, RankVector, canonical_key
+from .model import FrontierResult, Instance, Label, RankVector, SolveStats, Subset, canonical_key
 
 __all__ = [
+    "ENUMERATION_GUARD",
+    "OracleGuardError",
     "Valuation",
     "dominates",
+    "enumerate_feasible",
+    "enumerate_frontier",
     "equivalent",
     "evaluate",
     "falsification_witness",
@@ -141,3 +152,62 @@ def pareto_filter(labels: Iterable[Label]) -> list[Label]:
     ]
     kept.sort(key=canonical_key)
     return kept
+
+
+ENUMERATION_GUARD = 25
+
+
+class OracleGuardError(RuntimeError):
+    """Instance too large for exhaustive enumeration."""
+
+
+def _check_guard(inst: Instance, force: bool) -> None:
+    if len(inst.items) > ENUMERATION_GUARD and not force:
+        raise OracleGuardError(
+            f"n={len(inst.items)} exceeds the enumeration guard "
+            f"({ENUMERATION_GUARD}); use the DP solver, or force=True if you mean it"
+        )
+
+
+def enumerate_feasible(inst: Instance, force: bool = False) -> Iterator[Subset]:
+    """Yield every subset with total weight <= W, in ascending bitmask order.
+
+    Bit j of the mask selects ``inst.items[j]``; each feasible subset is
+    yielded exactly once.
+    """
+    _check_guard(inst, force)
+    yield frozenset()
+    yield from (frozenset(lab.items) for lab in _feasible_labels(inst))
+
+
+def enumerate_frontier(inst: Instance, force: bool = False) -> FrontierResult:
+    """Non-dominated rank cardinality vectors by brute force.
+
+    Every feasible subset is scored, equal vectors are collapsed to the
+    minimal-weight (then id-lexicographic) witness, dominated vectors
+    are removed by pairwise suffix-sum tests, and the all-zero vector of
+    the empty selection is never reported.
+    """
+    _check_guard(inst, force)
+    t0 = time.perf_counter()
+    frontier = pareto_filter(_feasible_labels(inst))
+    stats = SolveStats(wall_time=time.perf_counter() - t0, backend="oracle")
+    return FrontierResult(labels=tuple(frontier), stats=stats)
+
+
+def _feasible_labels(inst: Instance) -> Iterator[Label]:
+    """A label per nonempty feasible subset, in ascending bitmask order."""
+    items = inst.items
+    for m in range(1, 1 << len(items)):  # the mask; the loop below clears its bits
+        weight = 0
+        counts = [0] * inst.k
+        ids = []
+        while m:
+            low = m & -m
+            item = items[low.bit_length() - 1]
+            weight += item.weight
+            counts[item.level - 1] += 1
+            ids.append(item.id)
+            m ^= low
+        if weight <= inst.capacity:
+            yield Label(vector=tuple(counts), weight=weight, items=tuple(sorted(ids)))

@@ -51,7 +51,9 @@ class GeneratorParams:
 
     Exactly one of ``capacity`` (fixed W) or ``ratio`` (W = ceil of
     ratio times the total weight) must be given. Construction checks
-    them and raises ValueError on any that is out of range.
+    them and raises ValueError on any that is out of range; a fixed W is
+    checked as an :class:`Instance` checks its capacity, so ``qknap
+    bench`` can refuse it before it draws any instance.
     """
 
     def __init__(
@@ -73,6 +75,8 @@ class GeneratorParams:
             raise ValueError("exactly one of capacity or ratio must be set")
         if ratio is not None and not 0 < ratio <= 1:
             raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+        if capacity is not None:
+            Instance(k=k, capacity=capacity, items=())
         self.n, self.k, self.weight_max, self.seed = n, k, weight_max, seed
         self.capacity, self.ratio = capacity, ratio
 
@@ -82,10 +86,7 @@ def generate_instance(p: GeneratorParams) -> Instance:
     rng = SplitMix64(p.seed)
     weights = [rng.uniform(p.weight_max) for _ in range(p.n)]
     levels = [rng.uniform(p.k) for _ in range(p.n)]
-    if p.capacity is not None:
-        cap = p.capacity
-    else:
-        cap = ceil(p.ratio * sum(weights))
+    cap = p.capacity if p.capacity is not None else ceil(p.ratio * sum(weights))
     items = tuple(
         Item(id=i + 1, weight=weights[i], level=levels[i]) for i in range(p.n)
     )

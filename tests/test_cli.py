@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qknap.ckernel
 import qknap.dp
+import qknap.generator
 from helpers import drop_wall_time, needs_cc, run_cli
 from qknap.cli import _served, main
 from qknap.commands import _build_parser
@@ -347,6 +348,36 @@ def test_bench_requires_capacity_or_ratio():
         assert proc.returncode == 2, bad
         assert "Traceback" not in proc.stderr
         assert proc.stdout == "", bad  # refused before the CSV header
+
+
+def test_bench_refuses_a_capacity_out_of_range_before_its_header():
+    # a fixed W is checked with the sweep's other parameters, as an instance checks it
+    base = ("bench", "--n", "4", "--k", "2", "--wmax", "3", "--seeds", 1)
+    for cap, error in [("-1", "capacity must be >= 0"), (str(2**63), "capacity must be < 2**63")]:
+        proc = run_cli(*base, "--capacity", f"5,{cap}")  # the bad W comes last in the sweep
+        assert (proc.returncode, proc.stdout) == (2, ""), cap
+        assert proc.stderr.startswith(f"error: {error}"), proc.stderr
+
+
+def test_bench_draws_each_instance_just_before_it_solves_it(monkeypatch, capsys):
+    # one instance of the sweep is drawn, solved and printed at a time
+    draws, seen = [], []
+    draw, solve = qknap.generator.generate_instance, qknap.dp.solve
+
+    def counted_draw(params):
+        draws.append(params)
+        return draw(params)
+
+    def counted_solve(inst, *args, **kwargs):
+        seen.append(len(draws))
+        return solve(inst, *args, **kwargs)
+
+    monkeypatch.setattr(qknap.generator, "generate_instance", counted_draw)
+    monkeypatch.setattr(qknap.dp, "solve", counted_solve)
+    argv = ["bench", "--n", "4,6", "--k", "3", "--capacity", "8", "--wmax", "4", "--seeds", "2"]
+    assert main(argv) == 0
+    assert seen == [1, 2, 3, 4]  # the k-th solve has seen exactly k draws
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
 
 def test_bench_ratio_mode():

@@ -1,4 +1,5 @@
 import importlib.machinery
+import json
 import os
 import pwd
 import random
@@ -837,7 +838,8 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
     # compiler toolchain, its builder qknap.ckbuild, the instance generator nor
     # the subcommands it does not run, and a plain request is served without
     # argparse or qknap.commands. A C solve loads no qknap.twin, and a solve on
-    # the Python twin no qknap.ckernel. Each runs as `python -m qknap` does.
+    # the Python twin no qknap.ckernel. Only a --json request loads json. Each
+    # runs as `python -m qknap` does.
     big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
     (tmp_path / "big.qknap").write_text(serialize_instance(big))
     qknap.ckernel._load_row_kernel.cache_clear()
@@ -850,15 +852,19 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
     for path, backend, rest, runs in [
         (tmp_path / "big.qknap", "c-kernel", [], c_solve),  # 2,440 cells
         (tmp_path / "big.qknap", "c-kernel", ["--matrix"], c_solve),
+        (tmp_path / "big.qknap", "c-kernel", ["--json"], c_solve),
         (data_dir / "table1.qknap", "python", [], {"qknap.dp", "qknap.twin"}),  # 28 cells
         (data_dir / "table1.qknap", "python", ["--matrix"], {"qknap.dp", "qknap.twin"}),
+        (data_dir / "table1.qknap", "python", ["--json"], {"qknap.dp", "qknap.twin"}),
         (tmp_path / "big.qknap", None, ["r"], {"qknap.greedy"}),
         (data_dir / "table1.qknap", None, ["w"], {"qknap.greedy"}),
     ]:
         command = "greedy" if backend is None else "solve"
         run, names = _imports("-m", "qknap", command, str(path), *rest)
         assert run.returncode == 0, run.stderr
-        if backend is not None:
+        if "--json" in rest:
+            assert json.loads(run.stdout)["stats"]["backend"] == backend
+        elif backend is not None:
             assert f"# backend={backend}" in run.stdout.splitlines()
         loaded = names - bare
         assert {"qknap.cli", "qknap.instance_io", "qknap.model"} | runs <= loaded
@@ -866,17 +872,21 @@ def test_a_warm_solve_loads_only_what_it_runs(tmp_path, data_dir):
         unused |= {"__future__"}  # no served module postpones its annotations
         unused |= {"qknap.commands", "argparse", "gettext", "locale"}
         unused |= {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
-        unused |= {"qknap.dominance", "qknap.oracle"}
+        unused |= {"qknap.dominance"}
         unused |= {"qknap.dp", "qknap.ckernel", "qknap.twin", "qknap.greedy"} - runs
         unused |= {"qknap.ckbuild", "qknap.generator"}  # the build is cached; no request generates
         unused |= {"ctypes", "shlex", "sysconfig"}  # a cached extension loads without them
+        if "--json" in rest:  # frontier_json imports json when it runs
+            assert "json" in names
+            unused.remove("json")
         assert loaded & unused == set(), (command, path.name, rest)
 
 
 def test_an_unserved_command_loads_only_what_it_runs(data_dir):
     # check --witness, enumerate, gen and bench need no dataclass or typing
-    # machinery. -S keeps a site .pth file, which may import such a module
-    # first, from hiding an import of it here.
+    # machinery, and only gen and bench the instance generator. -S keeps a
+    # site .pth file, which may import such a module first, from hiding an
+    # import of it here.
     env = {**os.environ, "PYTHONPATH": str(Path(qknap.dp.__file__).parents[1])}
     table1 = str(data_dir / "table1.qknap")
     unused = {"dataclasses", "inspect", "ast", "dis", "typing", "__future__"}
@@ -890,6 +900,7 @@ def test_an_unserved_command_loads_only_what_it_runs(data_dir):
         assert run.returncode == 0, run.stderr
         assert "qknap.commands" in names, argv
         assert names & unused == set(), argv
+        assert ("qknap.generator" in names) == (argv[0] in {"gen", "bench"}), argv
 
 
 @pytest.mark.parametrize("mode", ["r", "w"])
