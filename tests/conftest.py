@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import qknap.ckernel
 from qknap import Instance, Item
 
 DATA = Path(__file__).parent / "data"
@@ -14,6 +15,16 @@ def _private_kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    # A test that loads the C kernel afresh: builds go to tmp_path/cache, and
+    # the next load after the test runs again, in the restored environment.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    qknap.ckernel._load_row_kernel.cache_clear()
+    yield
+    qknap.ckernel._load_row_kernel.cache_clear()
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
-"""Shared test utilities: CLI runner, strategies, random valuations."""
+"""Shared test utilities: kernels, a small sweep, CLI runner, strategies, random valuations."""
 
 from __future__ import annotations
 
 import shutil
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,42 @@ def compiler_found() -> bool:
 needs_cc = pytest.mark.skipif(
     not compiler_found(), reason="no C compiler $CC (else cc) to build the row kernel"
 )
+
+# The backend a solve forced onto the C kernel (_KERNEL_MIN_CELLS = 0) runs: with
+# a compiler on hand it must be C, or a check of C would compare the Python twin
+# with itself.
+C_BACKEND = "c-kernel" if compiler_found() else "python"
+
+# (_KERNEL_MIN_CELLS, backend) of a solve forced onto the C kernel, then off it:
+# parametrize over KERNELS, or loop over each one's ``.values``.
+KERNELS = [pytest.param(0, C_BACKEND, id="c-kernel"), pytest.param(10**12, "python", id="python")]
+
+
+def small_sweep(kernel, **args):
+    """A sweep's rows, as lists of words, then its comparisons and max_cell.
+
+    By default the sweep of a solve with k=2, n=3, W=3 over items 1 and
+    2; ``args`` replace any of its arguments. Lanes of 3 bits, 21 to a
+    word: a record of one lane word, the weight and the exit. Item 1
+    (weight 1, level 1) adds 1 to lane 0 and its weight; item 2 (weight
+    2, level 2) adds 1 to lanes 0 and 1 and its weight. An item's exit
+    is 0.
+    """
+    default = dict(
+        items=array("Q", [1, 1, 0, 0o11, 2, 0]),
+        ts=array("Q", [0, 0]),
+        ks=1,
+        H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
+        W=3,
+        keep=True,
+    )
+    rows, *counts = kernel(*{**default, **args}.values())
+    return [list(memoryview(row).cast("Q")) for row in rows], *counts
+
+
+def files_in(directory):
+    """The entries of ``directory``, none if it is missing."""
+    return set(directory.iterdir()) if directory.is_dir() else set()
 
 
 def run_cli(*args: object) -> subprocess.CompletedProcess:

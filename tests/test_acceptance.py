@@ -3,7 +3,7 @@
 One test per criterion; each prints a PASS line when its assertions
 hold, so ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 Criteria 5 and 8 share one 500-instance randomized sweep; criterion 9
-is a wall-clock smoke test and the slowest thing in the suite.
+is a wall-clock smoke test. Criterion 6's property suite takes longest.
 """
 
 import random

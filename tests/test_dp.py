@@ -15,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qknap.ckbuild
 import qknap.ckernel
 import qknap.dp
 import qknap.twin
-from helpers import compiler_found, instances, needs_cc
+from helpers import C_BACKEND, KERNELS, files_in, instances, needs_cc, small_sweep
 from qknap import (
     GeneratorParams,
     Instance,
@@ -37,12 +36,6 @@ from qknap import (
     total_weight,
     weakly_dominates,
 )
-
-
-# The backend a solve forced onto the C kernel (_KERNEL_MIN_CELLS = 0) runs: with
-# a compiler on hand it must be C, or the oracle checks below would compare the
-# Python twin with itself.
-C_BACKEND = "c-kernel" if compiler_found() else "python"
 
 # Expected DP table for the four-item staircase instance: cell vectors for
 # i=0..4 (rows) by x=0..6 (columns), zero label stripped, canonical order.
@@ -103,8 +96,7 @@ def test_solve_zero_capacity(table1):
     )
     # the first item fits no column, the second fits columns 1 and 2
     late = Instance(k=2, capacity=2, items=(Item(1, 5, 1), Item(2, 1, 2)))
-    forced = ((0, C_BACKEND), (10**12, "python"))  # C kernel forced on, then off
-    for (min_cells, backend), keep in product(forced, (False, True)):
+    for (min_cells, backend), keep in product((k.values for k in KERNELS), (False, True)):
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             for inst in (zero, heavy):
                 res = solve(inst, keep_matrix=keep)
@@ -194,7 +186,7 @@ def test_item_order_does_not_change_the_answer(inst, rng):
     # a solve sweeps items heaviest first, ties in input order, and --matrix in
     # input order; the witness rule must not depend on either
     want = solve(inst, keep_matrix=True).labels
-    for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
+    for min_cells, backend in (k.values for k in KERNELS):
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             for each in (inst, *orders):
                 res = solve(each)
@@ -205,7 +197,7 @@ def test_item_order_does_not_change_the_answer(inst, rng):
 @settings(deadline=None, max_examples=40)
 @given(instances(max_n=8, max_k=3, max_weight=5, max_capacity=12))
 def test_cells_are_filter_stable_and_bounded(inst):
-    for min_cells, backend in ((0, C_BACKEND), (10**12, "python")):  # C forced on, then off
+    for min_cells, backend in (k.values for k in KERNELS):
         with mock.patch.object(qknap.dp, "_KERNEL_MIN_CELLS", min_cells):
             res = solve(inst, keep_matrix=True)
         assert res.stats.backend == backend
@@ -274,13 +266,7 @@ def _path_instance(shape):
 
 
 @pytest.mark.parametrize("keep", [False, True], ids=["solve", "matrix"])
-@pytest.mark.parametrize(
-    "min_cells, backend",
-    [
-        pytest.param(0, "c-kernel", marks=needs_cc, id="c-kernel"),
-        pytest.param(10**12, "python", id="python"),
-    ],
-)
+@pytest.mark.parametrize("min_cells, backend", KERNELS)
 @pytest.mark.parametrize("shape", _SHUFFLED_ID_SHAPES)
 def test_ids_only_name_the_items(shape, min_cells, backend, keep, monkeypatch):
     # A witness breaks weight ties by id, but which vectors and weights a cell
@@ -311,48 +297,39 @@ def test_tie_break_matches_global_oracle_rule(seed):
     assert solve(inst).labels == enumerate_frontier(inst).labels
 
 
-def _check_rows(kernel, monkeypatch):
-    """Run every sweep a solve hands the twin through the C sweep too, row by row.
-
-    Returns the list each later solve appends its ``(args, every row)`` to.
-    """
-    twin, sweeps = qknap.twin.sweep, []
-
-    def both(*args):
-        rows = kernel(*args[:-1], True)  # the keep-rows flag
-        assert rows == twin(*args[:-1], True), f"sweep {len(sweeps)}"
-        sweeps.append((args, rows[0]))
-        got = kernel(*args)
-        assert got == twin(*args), f"sweep {len(sweeps)}"
-        return got
-
-    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
-    monkeypatch.setattr(qknap.twin, "sweep", both)
-    return sweeps
+# The shapes of the two row tests below.
+_SHAPES = _PATH_SHAPES + _SHUFFLED_ID_SHAPES + [
+    GeneratorParams(n=30, k=3, weight_max=9, seed=17, capacity=6),  # some items fit nowhere
+]
 
 
 @needs_cc
-@pytest.mark.parametrize("params", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
+@pytest.mark.parametrize("params", _SHAPES)
 def test_c_and_python_kernels_agree(params, monkeypatch):
+    # Every sweep of a solve and of a --matrix solve gives the same rows in C
+    # and in the twin, byte for byte and exits included, and the same
+    # comparisons and max_cell; so C answers as the twin does. The next test
+    # checks the twin's rows, and so C's.
     kernel, reason = qknap.ckernel._load_row_kernel()
     assert kernel is not None, reason
-    inst = _path_instance(params)
+    inst, twin, sweeps = _path_instance(params), qknap.twin.sweep, []
+
+    def both(*args):
+        for keep in dict.fromkeys((True, args[-1])):  # every row, then what the solve asks for
+            want = twin(*args[:-1], keep)
+            assert kernel(*args[:-1], keep) == want, f"sweep {len(sweeps)}, keep={keep}"
+        sweeps.append(args)
+        return want
+
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 0)
+    fast = [solve(inst, keep_matrix=keep) for keep in (False, True)]
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
-    ref = solve(inst)
-    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
-    fast = solve(inst)
-    assert (ref.stats.backend, fast.stats.backend) == ("python", "c-kernel")
-    assert ref.labels == fast.labels
-    assert (ref.stats.cells, ref.stats.max_cell, ref.stats.comparisons) == (
-        fast.stats.cells,
-        fast.stats.max_cell,
-        fast.stats.comparisons,
-    )
-    # row by row, over every column in input order (the windows are checked below)
-    sweeps = _check_rows(kernel, monkeypatch)
-    assert solve(inst, keep_matrix=True).labels == ref.labels
-    [(_, rows)] = sweeps
-    assert len(rows) == len(inst.items) + 1
+    monkeypatch.setattr(qknap.twin, "sweep", both)
+    for keep, c in zip((False, True), fast):
+        ref = solve(inst, keep_matrix=keep)
+        assert (ref.stats.backend, c.stats.backend) == ("python", "c-kernel")
+        assert (ref.labels, ref.matrix, ref.stats[:3]) == (c.labels, c.matrix, c.stats[:3])
+    assert len(sweeps) == 2
 
 
 def _records(row, lanes):
@@ -364,98 +341,63 @@ def _records(row, lanes):
         yield tuple(a - b for a, b in zip(sums, sums[1:])), words[i + ks], words[i + ks + 1]
 
 
-@pytest.mark.parametrize(
-    "min_cells, backend",
-    [
-        pytest.param(0, "c-kernel", marks=needs_cc, id="c-kernel"),
-        pytest.param(10**12, "python", id="python"),
-    ],
-)
-@pytest.mark.parametrize("shape", _PATH_SHAPES + _SHUFFLED_ID_SHAPES)
-def test_each_record_keeps_the_weight_at_which_it_leaves_the_frontier(
-    shape, min_cells, backend, monkeypatch
+@pytest.mark.parametrize("params", _SHAPES)
+def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
+    params, monkeypatch
 ):
+    # The rows of the twin's two sweeps, which the test above finds in C too.
+    # Each sweep runs once and keeps every row, whatever the solve asks for.
+    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 10**12)
+    twin, sweeps = qknap.twin.sweep, []
+
+    def recorded(*args):
+        rows, *counts = twin(*args[:-1], True)
+        sweeps.append((args, rows))
+        return (rows if args[-1] else rows[-1:]), *counts
+
+    monkeypatch.setattr(qknap.twin, "sweep", recorded)
+    inst = _path_instance(params)
+    matrix, res = solve(inst, keep_matrix=True), solve(inst)
+    assert matrix.stats.backend == res.stats.backend == "python"
+    want = matrix.labels  # input order, every column
+    assert res.labels == want
+    [(matrix_args, matrix_rows), ((items, ts, ks, _, W_arg, keep), rows)] = sweeps
+    lanes = qknap.dp._lanes(inst.k, len(inst.items))
     # An unclamped row's label leaves the frontier at the weight of the
     # lightest other label of the row that covers it, so --matrix reads cell
-    # x as the labels of weight <= x < exit. A plain solve's last row is its
-    # frontier, which no label leaves: every exit there is W + 1.
-    monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", min_cells)
-    kernel_of, sweeps = qknap.dp._kernel, []
-
-    def recorded(cells):
-        kernel, name = kernel_of(cells)
-
-        def sweep(*args):
-            sweeps.append((args, kernel(*args)))
-            return sweeps[-1][1]
-
-        return sweep, name
-
-    monkeypatch.setattr(qknap.dp, "_kernel", recorded)
-    inst = _path_instance(shape)
-    assert solve(inst, keep_matrix=True).stats.backend == solve(inst).stats.backend == backend
-    [(matrix_args, (rows, *_)), (solve_args, ([last], *_))] = sweeps
-    lanes = qknap.dp._lanes(inst.k, len(inst.items))
-    for i, row in enumerate(rows[1:], start=1):
+    # x as the labels of weight <= x < exit.
+    assert len(matrix_rows) == len(inst.items) + 1
+    for i, row in enumerate(matrix_rows[1:], start=1):
         records = list(_records(row, lanes))
         for j, (vector, weight, exit) in enumerate(records):
             others = records[:j] + records[j + 1 :]
             covers = [w for v, w, _ in others if weakly_dominates(v, vector)]
             assert exit == min(covers, default=matrix_args[4] + 1), (i, vector, weight)
-    assert {exit for _, _, exit in _records(last, lanes)} == {solve_args[4] + 1}
-
-
-@needs_cc
-@pytest.mark.parametrize(
-    "params",
-    _PATH_SHAPES
-    + _SHUFFLED_ID_SHAPES
-    + [GeneratorParams(n=30, k=3, weight_max=9, seed=17, capacity=6)],  # some items fit nowhere
-)
-def test_a_solve_sweeps_the_heaviest_items_first_over_the_columns_that_reach_W(
-    params, monkeypatch
-):
-    kernel, reason = qknap.ckernel._load_row_kernel()
-    assert kernel is not None, reason
-    inst = _path_instance(params)
+    # a solve sweeps the items that fit W heaviest first
     W = min(inst.capacity, sum(item.weight for item in inst.items))
     fit = [item for item in inst.items if item.weight <= W]
     order = sorted(fit, key=lambda item: -item.weight)  # stable: ties keep input order
-    want = solve(inst, keep_matrix=True).labels  # input order, every column
-    sweeps = _check_rows(kernel, monkeypatch)
-    assert solve(inst).labels == want
-    [((items, ts, ks, _, W_arg, keep), rows)] = sweeps
     assert (len(rows), W_arg, keep) == (len(order) + 1, W, False)
-    lanes = qknap.dp._lanes(inst.k, len(inst.items))
-    R, mask, where = ks + 2, lanes[2], lanes[3]
+    # each item record holds its level's count, its weight and an exit of 0
+    assert list(_records(items.tobytes(), lanes)) == [
+        (rank_cardinality_vector((item.id,), inst), item.weight, 0) for item in order
+    ]
     for i, L in enumerate(rows[1:], start=1):
-        # the item record holds a one in each of its first `level` lanes, its
-        # weight and an exit of 0
-        rec, t, item = items[(i - 1) * R : i * R], ts[i - 1], order[i - 1]
-        sums = [rec[q] >> shift & mask for q, shift in where]
-        assert (sums, rec[ks], rec[ks + 1]) == (
-            [1] * item.level + [0] * (inst.k - item.level),
-            item.weight,
-            0,
-        )
         # row i clamps at W - (weight of the items still to come), is sorted by
         # clamped weight and holds no label heavier than W
+        t = ts[i - 1]
         assert t == max(0, W - sum(item.weight for item in order[i:])), f"item {i}"
-        clamped = [max(weight, t) for weight in memoryview(L).cast("Q")[ks::R]]
+        clamped = [max(weight, t) for _, weight, _ in _records(L, lanes)]
         assert clamped == sorted(clamped) and clamped[-1] <= W, f"item {i}"
-    # the last row, clamped at W, holds the frontier, plus the zero label when it is empty
+    # the last row, clamped at W, holds the frontier, plus the zero label when
+    # it is empty, and no label leaves it: every exit is W + 1
     assert qknap.dp._canonical(qknap.dp._labels(rows[-1], lanes, fit)) == want
-    assert len(rows[-1]) // (8 * R) == max(1, len(want))
+    assert len(rows[-1]) // (8 * (ks + 2)) == max(1, len(want))
+    assert {exit for *_, exit in _records(rows[-1], lanes)} == {W + 1}
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256])
-@pytest.mark.parametrize(
-    "min_cells, backend",
-    [
-        pytest.param(1, "c-kernel", marks=needs_cc, id="c-kernel"),
-        pytest.param(10**12, "python", id="python"),
-    ],
-)
+@pytest.mark.parametrize("min_cells, backend", KERNELS)
 def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
     # Everything fits, so the frontier is one label holding every item, and its
     # first suffix sum is n: the most a lane of n.bit_length() + 1 bits holds
@@ -471,42 +413,6 @@ def test_a_lane_holds_every_item(n, min_cells, backend, monkeypatch):
         (rank_cardinality_vector(ids, inst), n, ids)
     ]
 
-
-@needs_cc
-def test_row_kernel_compiles_without_warnings(tmp_path):
-    source = Path(qknap.ckernel.__file__).with_name("_rowkernel.c")
-    # the kernel is built by whatever cc a user has: keep it to standard C99
-    argv = [*qknap.ckbuild._compiler(), "-std=c99", "-pedantic-errors", "-Wall", "-Wextra", "-Werror"]
-    argv += [*qknap.ckernel._CFLAGS, f"-I{sysconfig.get_paths()['include']}"]
-    run = subprocess.run(
-        [*argv, "-o", str(tmp_path / "rowkernel.so"), str(source)],
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
-
-
-def _kernel_args():
-    """Arguments that fit: the sweep of a solve with k=2, n=3, W=3 over items 1 and 2.
-
-    Lanes of 3 bits, 21 to a word: a record of one lane word, the weight
-    and the exit. Item 1 (weight 1, level 1) adds 1 to lane 0 and its
-    weight; item 2 (weight 2, level 2) adds 1 to lanes 0 and 1 and its
-    weight. An item's exit is 0.
-    """
-    return dict(
-        items=array("Q", [1, 1, 0, 0o11, 2, 0]),
-        ts=array("Q", [0, 0]),
-        ks=1,
-        H=int("4" * 21, 8),  # the guard, top bit, of each 3-bit lane
-        W=3,
-        keep=True,
-    )
-
-
-def _sweep(kernel, **args):
-    rows, *counts = kernel(*{**_kernel_args(), **args}.values())
-    return [list(memoryview(row).cast("Q")) for row in rows], *counts
 
 
 @needs_cc
@@ -568,14 +474,14 @@ def test_c_kernel_refuses_buffers_that_do_not_fit(bad):
     for each in (kernel, qknap.twin.sweep):
         # unclamped, every row keeps the zero label for cell 0; item 1 covers it
         # at 1, then item 2 alone covers item 1 at 2 and both cover item 2 at 3
-        assert _sweep(each) == ([row_0, row_1, last], 4, 1)
-        assert _sweep(each, keep=False) == ([last], 4, 1)
+        assert small_sweep(each) == ([row_0, row_1, last], 4, 1)
+        assert small_sweep(each, keep=False) == ([last], 4, 1)
         # the last row clamped at 3: all four weigh 3, so both items cover the rest where they stand
-        assert _sweep(each, ts=array("Q", [0, 3])) == ([row_0, row_1, both + [4]], 4, 1)
+        assert small_sweep(each, ts=array("Q", [0, 3])) == ([row_0, row_1, both + [4]], 4, 1)
         # no items: row 0 alone, the zero label, a record of ks + 2 words that no merge wrote
-        assert _sweep(each, items=array("Q"), ts=array("Q"), ks=2) == ([[0, 0, 0, 0]], 0, 0)
+        assert small_sweep(each, items=array("Q"), ts=array("Q"), ks=2) == ([[0, 0, 0, 0]], 0, 0)
     with pytest.raises(ValueError, match="do not fit"):
-        _sweep(kernel, **bad)
+        small_sweep(kernel, **bad)
 
 
 @needs_cc
@@ -651,10 +557,6 @@ def _make_the_kernel_unavailable(case, tmp, monkeypatch):
     return "no C row kernel: ", "home"
 
 
-def _files(directory):
-    return set(directory.iterdir()) if directory.is_dir() else set()
-
-
 @pytest.mark.parametrize(
     "case",
     [
@@ -669,134 +571,20 @@ def _files(directory):
         "no-extension-suffix",
     ],
 )
+@pytest.mark.usefixtures("fresh_loader")
 def test_when_no_kernel_builds_solve_runs_the_python_kernel(tmp_path, monkeypatch, case):
     builds = tmp_path / "cache" / "qknap"
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(qknap.dp, "_KERNEL_MIN_CELLS", 1)
-    qknap.ckernel._load_row_kernel.cache_clear()
-    try:
-        reason, cause = _make_the_kernel_unavailable(case, tmp_path, monkeypatch)
-        planted = _files(builds)
-        kernel, why = qknap.ckernel._load_row_kernel()
-        assert kernel is None
-        assert why.startswith(reason) and cause in why, why
-        assert _files(builds) == planted  # no temp file left behind
-        inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
-        res = solve(inst)
-        assert res.stats.backend == "python"
-        assert res.labels == enumerate_frontier(inst).labels
-    finally:
-        # the next call loads the kernel again, in the restored environment
-        qknap.ckernel._load_row_kernel.cache_clear()
-
-
-def test_a_missing_compiler_is_found_missing_before_any_build(tmp_path):
-    # Without a compiler on hand the build, which a cache miss imports, gives
-    # up at once: neither subprocess nor tempfile imported, nothing written to
-    # the cache. -S keeps site hooks, which may import modules of their own,
-    # out of the child.
-    cache = tmp_path / "cache"
-    script = (
-        "import sys; import qknap.ckernel; kernel, reason = qknap.ckernel._load_row_kernel(); "
-        'print(kernel is None, "qknap.ckbuild" in sys.modules, "subprocess" in sys.modules, '
-        '"tempfile" in sys.modules); print(reason)'
-    )
-    env = {
-        **os.environ,
-        "CC": "/nonexistent/cc",
-        "XDG_CACHE_HOME": str(cache),
-        "PYTHONPATH": str(Path(qknap.dp.__file__).parents[1]),
-    }
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert run.returncode == 0, run.stderr
-    verdict, reason = run.stdout.splitlines()
-    assert verdict == "True True False False"
-    assert "/nonexistent/cc" in reason
-    assert not cache.exists() or not any(cache.iterdir())
-
-
-@needs_cc
-def test_kernel_cache_is_keyed_by_the_compiler(tmp_path, monkeypatch):
-    # a build by one compiler, such as a sanitizer's, must never load for another
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    qknap.ckernel._load_row_kernel.cache_clear()
-    try:
-        kernel, reason = qknap.ckernel._load_row_kernel()
-        assert kernel is not None, reason
-        qknap.ckernel._load_row_kernel.cache_clear()
-        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
-        kernel, reason = qknap.ckernel._load_row_kernel()
-        assert kernel is None
-        assert "no-such-cc" in reason
-    finally:
-        # the next call loads the kernel again, in the restored environment
-        qknap.ckernel._load_row_kernel.cache_clear()
-
-
-@needs_cc
-def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
-    # The XDG Base Directory spec ignores a relative $XDG_CACHE_HOME: the build
-    # goes to ~/.cache/qknap, and nothing lands under the working directory.
-    home, cwd = tmp_path / "home", tmp_path / "cwd"
-    home.mkdir()
-    cwd.mkdir()
-    monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
-    monkeypatch.chdir(cwd)
-    qknap.ckernel._load_row_kernel.cache_clear()
-    try:
-        kernel, reason = qknap.ckernel._load_row_kernel()
-        assert kernel is not None, reason
-        assert reason.startswith(f"compiled C row kernel {home}/.cache/qknap/"), reason
-        assert _files(cwd) == set()
-    finally:
-        # the next call loads the kernel again, in the restored environment
-        qknap.ckernel._load_row_kernel.cache_clear()
-
-
-@needs_cc
-def test_each_extension_suffix_gets_its_own_build(tmp_path, monkeypatch):
-    # Interpreters that share a magic number, such as a debug and a release
-    # build, load different extensions: each suffix names its own cache entry.
-    builds = tmp_path / "cache" / "qknap"
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    try:
-        for suffix in (importlib.machinery.EXTENSION_SUFFIXES[0], ".cpython-test.so"):
-            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [suffix])
-            qknap.ckernel._load_row_kernel.cache_clear()
-            kernel, reason = qknap.ckernel._load_row_kernel()
-            assert kernel is not None and reason.endswith(suffix), reason
-            assert _sweep(kernel) == _sweep(qknap.twin.sweep)
-        names = sorted(path.name for path in _files(builds))
-        assert len(names) == 2 and names[0].split(".")[0] == names[1].split(".")[0], names
-    finally:
-        # the next call loads the kernel again, in the restored environment
-        qknap.ckernel._load_row_kernel.cache_clear()
-
-
-def test_a_platform_without_uname_keys_the_build_without_the_machine(tmp_path, monkeypatch):
-    # Windows has no os.uname: the loader leaves the machine out of the cache
-    # key, and loads or builds the kernel as it does elsewhere.
-    big = generate_instance(GeneratorParams(n=40, k=3, weight_max=9, seed=1, capacity=60))
-    want = solve(big)  # 2,440 cells
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    qknap.ckernel._load_row_kernel.cache_clear()
-    try:
-        keyed = qknap.ckernel._load_row_kernel()[1]
-        qknap.ckernel._load_row_kernel.cache_clear()
-        monkeypatch.delattr(os, "uname")
-        kernel, reason = qknap.ckernel._load_row_kernel()
-        assert (kernel is not None) == compiler_found(), reason
-        if kernel is not None:  # another key names another build, beside the first
-            assert reason.startswith("compiled C row kernel ") and reason != keyed, reason
-        res = solve(big)
-        assert res.stats.backend == C_BACKEND
-        assert res.labels == want.labels
-    finally:
-        # the next call loads the kernel again, in the restored environment
-        qknap.ckernel._load_row_kernel.cache_clear()
+    reason, cause = _make_the_kernel_unavailable(case, tmp_path, monkeypatch)
+    planted = files_in(builds)
+    kernel, why = qknap.ckernel._load_row_kernel()
+    assert kernel is None
+    assert why.startswith(reason) and cause in why, why
+    assert files_in(builds) == planted  # no temp file left behind
+    inst = generate_instance(GeneratorParams(n=14, k=3, weight_max=3, seed=1, capacity=18))
+    res = solve(inst)
+    assert res.stats.backend == "python"
+    assert res.labels == enumerate_frontier(inst).labels
 
 
 def test_solve_runs_where_numpy_cannot_be_imported(tmp_path, data_dir):
